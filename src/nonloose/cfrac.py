@@ -161,12 +161,14 @@ def _next_toward(v: Slope, target: Slope) -> Slope:
 def _minimal_vertices(r: Slope, s: Slope) -> tuple[Slope, ...]:
     if r == s:
         raise FareyError("minimal path needs distinct endpoints")
+    # |dot(v, s)| strictly decreases along a minimal path and is 0 at s
+    limit = abs(dot(r, s)) + 1
     out = [r]
     cur = r
     while cur != s:
         cur = _next_toward(cur, s)
         out.append(cur)
-        if len(out) > 10_000:
+        if len(out) > limit:
             raise FareyError("runaway minimal path")
     return tuple(out)
 

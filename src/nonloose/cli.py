@@ -11,7 +11,9 @@ import json
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
+from typing import Optional
 
 from . import render
 from .cables import (
@@ -50,6 +52,8 @@ from .unknots import (
 )
 
 FORMATS = ("table", "json", "csv", "svg")
+# part of every cache file name; bump it when the cached payload changes
+CACHE_SCHEMA = 1
 
 
 class _UsageError(Exception):
@@ -162,6 +166,29 @@ def _parse_decorated(text: str) -> DecoratedPath:
     return DecoratedPath(FareyPath(tuple(vertices)), tuple(signs))
 
 
+def _read_cached(path: Path, request: dict) -> Optional[dict]:
+    """The cached atlas answering request, or None for a missing,
+    unreadable, truncated or foreign file."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    ok = isinstance(payload, dict) and isinstance(payload.get("ranges"), list)
+    return payload if ok and all(payload.get(k) == v for k, v in request.items()) else None
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    # readers see the old file or the whole new one, never a partial write
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".classify-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _run_classify(args, out) -> None:
     lens = LensSpace(args.p, args.q)
     knot = KnotId.parse(args.knot)
@@ -170,14 +197,14 @@ def _run_classify(args, out) -> None:
     if args.cache_dir:
         cache_dir = Path(args.cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_file = cache_dir / f"classify-{args.p}-{args.q}-{knot}-{args.kmax}.json"
-        if cache_file.exists():
-            payload = json.loads(cache_file.read_text())
+        cache_file = cache_dir / f"classify-v{CACHE_SCHEMA}-{args.p}-{args.q}-{knot}-{args.kmax}.json"
+        request = {"lens": {"p": lens.p, "q": lens.q}, "knot": str(knot), "k_max": args.kmax}
+        payload = _read_cached(cache_file, request)
     if payload is None:
         ranges = classify(lens, knot, args.kmax)
         payload = render.classification_dict(lens, knot, args.kmax, ranges)
         if cache_file is not None:
-            cache_file.write_text(json.dumps(payload, indent=2))
+            _write_atomic(cache_file, json.dumps(payload, indent=2))
     if args.format == "json":
         out.write(render.classification_json(payload))
     elif args.format == "csv":

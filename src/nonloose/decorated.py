@@ -11,19 +11,20 @@ shuffle equivalence.
 The search works on shuffle classes directly - a path together with the
 number of minus signs carried by each continued fraction block - rather
 than on concrete sign tuples, so paths with long blocks stay tractable.
-All values are immutable and all procedures pure; the shared memo tables
-are lock-guarded caches of deterministic results, so concurrent calls
-are race-free and always agree.
+Its visited set lives for one call and its move table in a
+ShorteningGeometry that the caller creates and drops.  Block sizes and
+pairings are memoized in process-wide functools.lru_cache tables.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from itertools import product
-from typing import Union
+from itertools import accumulate, product
+from typing import Optional, Union
 
 from .cfrac import FareyPath, _block_ranges, _minimal_vertices
 from .farey import (
@@ -145,10 +146,6 @@ class ShuffleClass:
         }
 
 
-# internal search state: (vertices, frozenset of unsigned edges, minus counts)
-_State = tuple[tuple[Slope, ...], frozenset, tuple[int, ...]]
-
-
 def _context_data(c: Context) -> tuple[tuple[Slope, ...], frozenset]:
     """Minimal path and unsigned edge set realizing a context."""
     if isinstance(c, ThickenedTorus):
@@ -173,157 +170,116 @@ def _signed_sizes(
     return blocks, sizes
 
 
-def _can_supply(minus: int, size: int, sign: Sign) -> bool:
-    return minus >= 1 if sign is Sign.MINUS else size - minus >= 1
+class ShorteningGeometry(dict):
+    """Moves of the shortening searches from one base path, by removal mask.
 
-
-@dataclass(frozen=True)
-class _MergePlan:
-    """Sign-independent geometry of one vertex removal.
-
-    consumed lists the blocks that must supply the matched signs (empty
-    when both removed edges are unsigned, one block when absorbing into
-    an unsigned edge, two otherwise).  The removed edges end their
-    blocks, so the surviving signed edges of each old block stay
-    together; moved maps each old block with survivors to its block in
-    the shortened path (several old blocks may land in one).
+    Every path such a search meets is the base path less some vertices (a
+    bitmask of removed positions), and its unsigned edges stay terminal.
+    A mask's moves are worked out from integer coordinates on first lookup
+    and kept, so one object serves every search from the base path (all
+    stabilizations at one level of a classification) until dropped.
     """
 
-    new_vertices: tuple[Slope, ...]
-    new_unsigned: frozenset
-    consumed: tuple[int, ...]
-    merged_unsigned: bool
-    merged_block: int
-    n_new_blocks: int
-    moved: tuple[tuple[int, int], ...]  # (old block, new block) pairs
-    drained: tuple[int, ...]  # old blocks left with no signed edges
+    def __init__(self, vertices: tuple[Slope, ...], first_unsigned: bool, last_unsigned: bool):
+        self.vertices = vertices
+        self.target = _minimal_vertices(vertices[0], vertices[-1])
+        self._num, self._den = [v.num for v in vertices], [v.den for v in vertices]
+        self._unsigned = first_unsigned, last_unsigned
+
+    def __missing__(self, mask: int) -> Optional[tuple]:
+        # None once the path is minimal, else one move per removable vertex:
+        # (child mask, left block bl, signed sizes of blocks bl and bl + 1,
+        # each merged edge signed?, its block keeps other edges?, the merged
+        # edge joins each neighbor block?)
+        bits = format(mask, f"0{len(self._num)}b")[::-1]
+        surv = [i for i, bit in enumerate(bits) if bit == "0"]
+        edges = len(surv) - 1
+        if edges == len(self.target) - 1:
+            assert tuple(self.vertices[i] for i in surv) == self.target
+            self[mask] = None
+            return None
+        num, den = self._num, self._den
+
+        def pair(a: int, b: int) -> int:
+            return abs(num[surv[a]] * den[surv[b]] - den[surv[a]] * num[surv[b]])
+
+        # |dot| of the neighbors of each interior vertex: 2 keeps its edges
+        # in one continued fraction block, 1 makes the vertex removable
+        outer = [0] + [pair(j - 1, j + 1) for j in range(1, edges)]
+        block_of = list(accumulate((d != 2 for d in outer[1:]), initial=0))
+        lengths = list(Counter(block_of).values())  # block_of never decreases
+        first_u, last_u = self._unsigned
+        sizes = lengths[:]
+        sizes[0] -= first_u
+        sizes[-1] -= last_u
+        moves = []
+        for j in range(1, edges):
+            if outer[j] == 1:
+                # the merged edges end their blocks: the left one ends block
+                # bl, the right one starts block bl + 1
+                bl = block_of[j - 1]
+                moves.append((
+                    mask | 1 << surv[j], bl, sizes[bl], sizes[bl + 1],
+                    int(not (j == 1 and first_u)), int(not (j == edges - 1 and last_u)),
+                    lengths[bl] > 1, lengths[bl + 1] > 1,
+                    j >= 2 and pair(j - 2, j + 1) == 2,
+                    j + 2 <= edges and pair(j - 1, j + 2) == 2,
+                ))
+        self[mask] = moves = tuple(moves)
+        return moves
 
 
-@lru_cache(maxsize=None)
-def _merge_plans(vertices: tuple[Slope, ...], unsigned: frozenset) -> tuple[_MergePlan, ...]:
-    blocks, _ = _signed_sizes(vertices, unsigned)
-    block_of = {e: bi for bi, blk in enumerate(blocks) for e in blk}
-    plans = []
-    for i in range(1, len(vertices) - 1):
-        if not has_edge(vertices[i - 1], vertices[i + 1]):
+def _regroup(counts, bl, left_n, right_n, merged, keep_l, keep_r, join_l, join_r):
+    # minus counts of the shortened path, from the surviving counts of the
+    # two merged blocks and the merged edge's own count
+    left = counts[:bl] + (left_n,) if keep_l else counts[:bl]
+    right = (right_n,) + counts[bl + 2 :] if keep_r else counts[bl + 2 :]
+    assert keep_l or left_n == 0
+    assert keep_r or right_n == 0
+    if join_l:
+        merged, left = merged + left[-1], left[:-1]
+    if join_r:
+        merged, right = merged + right[0], right[1:]
+    return left + (merged,) + right
+
+
+def shorten_to_minimal(geometry: ShorteningGeometry, counts: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Minus counts of every minimal-path shuffle class that consistent
+    shortenings reach from the geometry's base path with these counts.
+
+    Each step removes a vertex whose neighbors are adjacent, with the two
+    merged edges presenting a common sign (or one of them unsigned, which
+    absorbs the other).  Iterative depth-first search; the visited set
+    lives for this call only.
+    """
+    stack = [(0, counts)]
+    seen = set(stack)
+    finals: set[tuple[int, ...]] = set()
+    while stack:
+        mask, c = stack.pop()
+        moves = geometry[mask]
+        if moves is None:
+            finals.add(c)
             continue
-        e_l, e_r = i - 1, i
-        u_l, u_r = e_l in unsigned, e_r in unsigned
-        if u_l and u_r:
-            consumed: tuple[int, ...] = ()
-        elif u_l or u_r:
-            consumed = (block_of[e_r if u_l else e_l],)
-        else:
-            # a removable vertex always separates its edges into distinct
-            # blocks: the outer pair has determinant 1 there, not 2
-            assert block_of[e_l] != block_of[e_r]
-            consumed = (block_of[e_l], block_of[e_r])
-        new_vertices = vertices[:i] + vertices[i + 1 :]
-        new_blocks = _block_ranges(new_vertices)
-        new_block_of = {e: bi for bi, blk in enumerate(new_blocks) for e in blk}
-
-        def remap(e: int) -> int:
-            return e if e < e_l else e - 1
-
-        merged_unsigned = u_l or u_r
-        new_unsigned = frozenset(remap(e) for e in unsigned if e not in (e_l, e_r))
-        if merged_unsigned:
-            new_unsigned |= {e_l}
-        moved = []
-        drained = []
-        for bi, blk in enumerate(blocks):
-            targets = {
-                new_block_of[remap(e)]
-                for e in blk
-                if e not in (e_l, e_r) and e not in unsigned
-            }
-            # the removed edges terminate their blocks, so survivors of one
-            # old block always land in a single block of the new path
-            assert len(targets) <= 1
-            if targets:
-                moved.append((bi, next(iter(targets))))
-            else:
-                drained.append(bi)
-        plans.append(
-            _MergePlan(
-                new_vertices,
-                new_unsigned,
-                consumed,
-                merged_unsigned,
-                new_block_of[e_l],
-                len(new_blocks),
-                tuple(moved),
-                tuple(drained),
-            )
-        )
-    return tuple(plans)
+        for child, bl, size_l, size_r, take_l, take_r, keep_l, keep_r, join_l, join_r in moves:
+            n_l, n_r = c[bl], c[bl + 1]
+            options = []
+            if size_l - n_l >= take_l and size_r - n_r >= take_r:
+                options.append((n_l, n_r, 0))
+            if (take_l or take_r) and n_l >= take_l and n_r >= take_r:
+                options.append((n_l - take_l, n_r - take_r, take_l & take_r))
+            for left_n, right_n, merged in options:
+                state = child, _regroup(c, bl, left_n, right_n, merged, keep_l, keep_r, join_l, join_r)
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
+    return finals
 
 
-def _successor_states(state: _State) -> list[_State]:
-    """All shuffle classes reachable by one consistent shortening.
-
-    For each removable interior vertex, every way of presenting its two
-    incident edges with matching signs (or absorbing into an unsigned
-    edge) is tried; the surviving minus counts carry over block by block,
-    accumulating where the shortened path merges old blocks.
-    """
-    vertices, unsigned, counts = state
-    _, sizes = _signed_sizes(vertices, unsigned)
-    out: set[_State] = set()
-    for plan in _merge_plans(vertices, unsigned):
-        for sg in (Sign.PLUS, Sign.MINUS) if plan.consumed else (Sign.UNSIGNED,):
-            if any(not _can_supply(counts[b], sizes[b], sg) for b in plan.consumed):
-                continue
-            rem = list(counts)
-            if sg is Sign.MINUS:
-                for b in plan.consumed:
-                    rem[b] -= 1
-            assert all(rem[bi] == 0 for bi in plan.drained)
-            new_counts = [0] * plan.n_new_blocks
-            for bi, nb in plan.moved:
-                new_counts[nb] += rem[bi]
-            if not plan.merged_unsigned and sg is Sign.MINUS:
-                new_counts[plan.merged_block] += 1
-            out.add((plan.new_vertices, plan.new_unsigned, tuple(new_counts)))
-    return sorted(out, key=_state_sort_key)
-
-
-def _state_sort_key(state: _State):
-    vertices, unsigned, counts = state
-    return (
-        tuple((s.num, s.den) for s in vertices),
-        tuple(sorted(unsigned)),
-        counts,
+def _minus_counts(d: DecoratedPath) -> tuple[int, ...]:
+    return tuple(
+        sum(1 for e in blk if d.signs[e] is Sign.MINUS) for blk in _block_ranges(d.vertices)
     )
-
-
-@lru_cache(maxsize=262144)
-def shorten_to_minimal(state: _State) -> frozenset:
-    """All minimal-path shuffle classes reachable by consistent shortenings.
-
-    Memoized globally: shortening only ever shrinks the path, so results
-    are context-free and shared across calls (stabilization chains hit
-    the same intermediate states over and over).
-    """
-    vertices = state[0]
-    target = _minimal_vertices(vertices[0], vertices[-1])
-    if len(vertices) == len(target):
-        assert vertices == target
-        return frozenset({state})
-    found: frozenset = frozenset()
-    for nxt in _successor_states(state):
-        found |= shorten_to_minimal(nxt)
-    return found
-
-
-def _state_of(d: DecoratedPath) -> _State:
-    vertices = d.vertices
-    unsigned = frozenset(i for i, s in enumerate(d.signs) if s is Sign.UNSIGNED)
-    blocks = _block_ranges(vertices)
-    counts = tuple(
-        sum(1 for e in blk if d.signs[e] is Sign.MINUS) for blk in blocks
-    )
-    return vertices, unsigned, counts
 
 
 def canonicalize(d: DecoratedPath) -> ShuffleClass:
@@ -336,8 +292,8 @@ def canonicalize(d: DecoratedPath) -> ShuffleClass:
     vertices = d.vertices
     if vertices != _minimal_vertices(vertices[0], vertices[-1]):
         raise DecorationError("canonical form is defined on minimal paths only")
-    _, unsigned, counts = _state_of(d)
-    return ShuffleClass(vertices, counts, tuple(sorted(unsigned)))
+    unsigned = tuple(i for i, s in enumerate(d.signs) if s is Sign.UNSIGNED)
+    return ShuffleClass(vertices, _minus_counts(d), unsigned)
 
 
 @dataclass(frozen=True)
@@ -406,7 +362,8 @@ def is_tight(d: DecoratedPath, c: Context) -> bool:
     path for the given boundary data.
     """
     _check_against_context(d, c)
-    return bool(shorten_to_minimal(_state_of(d)))
+    unsigned = d.signs[0] is Sign.UNSIGNED, d.signs[-1] is Sign.UNSIGNED
+    return bool(shorten_to_minimal(ShorteningGeometry(d.vertices, *unsigned), _minus_counts(d)))
 
 
 def count_tight(c: Context) -> int:

@@ -93,8 +93,8 @@ def classification_svg(payload: dict) -> str:
     members = [(ri, m) for ri, r in enumerate(ranges) for m in r["members"]]
     rots = [float(Fraction(m["rot"])) for _, m in members]
     tbs = [float(Fraction(m["tb"])) for _, m in members]
-    lo_r, hi_r = min(rots) - 0.5, max(rots) + 0.5
-    lo_t, hi_t = min(tbs) - 0.5, max(tbs) + 0.5
+    lo_r, hi_r = min(rots, default=0.0) - 0.5, max(rots, default=0.0) + 0.5
+    lo_t, hi_t = min(tbs, default=0.0) - 0.5, max(tbs, default=0.0) + 0.5
     width, height, margin = 640, 480, 48
 
     def x(rot: float) -> float:

@@ -25,8 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .cfrac import _block_ranges, ancestor, expand
+from .cfrac import ancestor, expand
 from .decorated import (
+    ShorteningGeometry,
     ShuffleClass,
     Sign,
     UpperSolidTorus,
@@ -188,36 +189,46 @@ def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClas
     return [_class_from_shuffle(lens, knot, k, s, sc) for sc in enumerate_tight(ctx)]
 
 
-def stabilize(c: NonLooseClass, sign: Sign) -> Optional[NonLooseClass]:
+def stabilization_geometry(c: NonLooseClass) -> ShorteningGeometry:
+    """Shortening geometry shared by every stabilization of the classes at
+    c's level: their common complement path with s_{k-1} put in front."""
+    v = (slope_k(c.lens, c.knot, c.k - 1),) + c.complement.path
+    assert has_edge(v[0], v[1])
+    # the new edge never joins the leading block of the old path: s_{k-1}
+    # is adjacent to the old second vertex, so the triple has determinant 1
+    assert abs(dot(v[0], v[2])) != 2
+    return ShorteningGeometry(v, False, True)
+
+
+def stabilize(
+    c: NonLooseClass, sign: Sign, geometry: Optional[ShorteningGeometry] = None
+) -> Optional[NonLooseClass]:
     """Stabilize a non-loose class once; None means the result is loose.
 
     The complement gains the basic slice between s_{k-1} and s_k with the
     stabilization sign; the class survives exactly when the extended path
     consistently shortens to the minimal one, and is then read off from
-    the shortened shuffle class.
+    the shortened shuffle class.  geometry, when given, is
+    stabilization_geometry of a class at c's level.
     """
     if sign not in (Sign.PLUS, Sign.MINUS):
         raise ClassificationError("stabilization sign must be PLUS or MINUS")
     if c.k == 0:
         return None
-    s_prev = slope_k(c.lens, c.knot, c.k - 1)
-    vertices = (s_prev,) + c.complement.path
-    assert has_edge(s_prev, vertices[1])
-    # the new edge never joins the leading block of the old path: s_{k-1}
-    # is adjacent to the old second vertex, so the triple has determinant 1
-    assert _block_ranges(vertices)[0] == (0,)
+    if geometry is None:
+        geometry = stabilization_geometry(c)
+    assert geometry.vertices[1:] == c.complement.path
     counts = ((1 if sign is Sign.MINUS else 0),) + c.complement.minus_counts
-    unsigned = frozenset(u + 1 for u in c.complement.unsigned_positions)
-    finals = shorten_to_minimal((vertices, unsigned, counts))
+    finals = shorten_to_minimal(geometry, counts)
     if not finals:
         return None
     if len(finals) != 1:
         raise ClassificationError(
             f"ambiguous shortening of {c.class_id} with sign {sign}"
         )
-    fv, fu, fc = next(iter(finals))
-    sc = ShuffleClass(fv, fc, tuple(sorted(fu)))
-    return _class_from_shuffle(c.lens, c.knot, c.k - 1, fv[0], sc)
+    path = geometry.target
+    sc = ShuffleClass(path, finals.pop(), (len(path) - 2,))
+    return _class_from_shuffle(c.lens, c.knot, c.k - 1, path[0], sc)
 
 
 class RangeKind(Enum):
@@ -369,10 +380,11 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
     preds: dict[tuple, dict[Sign, list[tuple]]] = {c.key: {Sign.PLUS: [], Sign.MINUS: []} for c in by_key.values()}
     problems: list[str] = []
     for k in range(1, k_max + 1):
+        geometry = stabilization_geometry(levels[k][0])
         for c in levels[k]:
             succ[c.key] = {}
             for sign in (Sign.PLUS, Sign.MINUS):
-                r = stabilize(c, sign)
+                r = stabilize(c, sign, geometry)
                 succ[c.key][sign] = r.key if r is not None else None
                 if r is not None:
                     preds[r.key][sign].append(c.key)

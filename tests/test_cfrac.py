@@ -124,6 +124,21 @@ def test_minimal_path_matches_breadth_first_search():
         assert got == geodesics[0], (r, s)
 
 
+def test_minimal_path_length_bounded_by_determinant():
+    # |dot(v, s)| strictly decreases along every minimal path to s, so a
+    # path from r has at most |dot(r, s)| + 1 vertices
+    from oracles import bounded_slopes
+
+    pool = bounded_slopes(12)
+    for r in pool:
+        for s in pool:
+            if r != s:
+                d = [abs(dot(v, s)) for v in minimal_path(r, s).vertices]
+                assert d[-1] == 0 and all(a > b for a, b in zip(d, d[1:])), (r, s)
+    long = minimal_path(Slope(-20001), ZERO)
+    assert len(long.vertices) == abs(dot(Slope(-20001), ZERO)) + 1 == 20002
+
+
 def test_path_length_consistent_with_expansion():
     # cross-check, over the whole family, the length the search oracle
     # confirms on small cases: sum of |a_i| minus twice the coefficient

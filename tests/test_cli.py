@@ -3,7 +3,9 @@ import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+from nonloose import cli
 from nonloose.cli import run
+from nonloose.render import classification_svg
 
 
 def invoke(argv):
@@ -87,6 +89,46 @@ def test_classify_cache(tmp_path):
         assert cached == fresh
 
 
+def _cache_file(cache_dir, p, q):
+    (path,) = cache_dir.glob(f"classify*-{p}-{q}-K0-5.json")
+    return path
+
+
+def test_classify_cache_rejects_foreign_and_truncated_files(tmp_path):
+    fresh = invoke(["classify", "5", "2", "--format", "json"])
+    cached = ["classify", "5", "2", "--format", "json", "--cache-dir", str(tmp_path)]
+    assert invoke(["classify", "7", "3", "--cache-dir", str(tmp_path)])[0] == 0
+    # an L(7,3) atlas stored under L(5,2)'s key is a miss, then overwritten
+    other = _cache_file(tmp_path, 7, 3)
+    key = other.with_name(other.name.replace("-7-3-", "-5-2-"))
+    key.write_text(other.read_text())
+    assert invoke(cached) == fresh
+    assert json.loads(key.read_text())["lens"] == {"p": 5, "q": 2}
+    # a truncated file is a miss as well
+    key.write_text(key.read_text()[:100])
+    assert invoke(cached) == fresh
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted([key.name, other.name])
+
+
+def test_classify_cache_warm_hit_skips_classification(tmp_path, monkeypatch):
+    args = ["classify", "5", "2", "--format", "table", "--cache-dir", str(tmp_path)]
+    cold = invoke(args)
+    assert cold[0] == 0
+
+    def fail(*args):
+        raise AssertionError("warm query recomputed the classification")
+
+    monkeypatch.setattr(cli, "classify", fail)
+    assert invoke(args) == cold
+
+
+def test_svg_of_empty_atlas():
+    payload = {"lens": {"p": 5, "q": 2}, "knot": "K0", "k_max": 3, "ranges": []}
+    root = ET.fromstring(classification_svg(payload))
+    assert root.tag.endswith("svg")
+    assert not [el for el in root.iter() if el.tag.endswith("circle")]
+
+
 def test_tight_count_commands():
     assert invoke(["tight-count", "lens", "5", "2"]) == (0, "2\n", "")
     assert invoke(["tight-count", "lens", "1", "1"]) == (0, "1\n", "")
@@ -95,6 +137,11 @@ def test_tight_count_commands():
     assert invoke(["tight-count", "solid", "lower", "-5/2", "1/0"])[1].strip().isdigit()
     code, _, err = invoke(["tight-count", "lens", "6", "2"])
     assert code == 1
+
+
+def test_tight_count_long_solid_torus():
+    # 20002-vertex minimal path, beyond any fixed vertex cap
+    assert invoke(["tight-count", "solid", "upper", "0/1", "-20001"]) == (0, "20001\n", "")
 
 
 def test_farey_commands():

@@ -114,6 +114,14 @@ def test_is_tight_stabilized_complement():
         assert not is_tight(dpath(verts, flipped), ctx)
 
 
+def test_is_tight_deep_chain():
+    # a thickened torus from infinity to 0 through every integer down to
+    # -1000: a thousand consecutive shortenings, one search state each
+    verts = [INFINITY] + integer_run(-1000, 0)
+    ctx = ThickenedTorus(INFINITY, ZERO)
+    assert is_tight(dpath(verts, [P] * (len(verts) - 1)), ctx)
+
+
 def test_is_tight_needs_shuffling_bookkeeping():
     # one minus inside the block blocks every consistent collapse
     p = 4

@@ -13,7 +13,6 @@ performs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .farey import (
     INFINITY,
@@ -157,7 +156,6 @@ def _next_toward(v: Slope, target: Slope) -> Slope:
     return Slope(v.num * n - y, v.den * n + x)
 
 
-@lru_cache(maxsize=None)
 def _minimal_vertices(r: Slope, s: Slope) -> tuple[Slope, ...]:
     if r == s:
         raise FareyError("minimal path needs distinct endpoints")
@@ -178,7 +176,6 @@ def minimal_path(r: Slope, s: Slope) -> FareyPath:
     return FareyPath(_minimal_vertices(r, s))
 
 
-@lru_cache(maxsize=None)
 def _block_ranges(vertices: tuple[Slope, ...]) -> tuple[tuple[int, ...], ...]:
     edges = len(vertices) - 1
     blocks: list[list[int]] = [[0]]

@@ -52,6 +52,7 @@ from .unknots import (
 )
 
 FORMATS = ("table", "json", "csv", "svg")
+KNOTS = ("K0", "K1", "-K0", "-K1")
 # part of every cache file name; bump it when the cached payload changes
 CACHE_SCHEMA = 1
 
@@ -78,7 +79,7 @@ def _build_parser(default_format: str) -> _Parser:
     cl = sub.add_parser("classify", help="mountain ranges of a rational unknot")
     cl.add_argument("p", type=int)
     cl.add_argument("q", type=int)
-    cl.add_argument("--knot", default="K0", choices=["K0", "K1", "-K0", "-K1"])
+    cl.add_argument("--knot", default="K0", choices=KNOTS)
     cl.add_argument("--kmax", type=int, default=5)
     cl.add_argument("--format", default=default_format, choices=FORMATS)
     cl.add_argument("--cache-dir", default=None)
@@ -298,6 +299,16 @@ def _run_exists(args, out) -> None:
     out.write(f"{admits_nonloose(facts, flavor)}\n")
 
 
+def _attach_knot_values(argv: list[str]) -> list[str]:
+    # argparse reads an option value that starts with "-" only in the
+    # attached form, so "--knot -K0" becomes "--knot=-K0"
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--knot" and argv[i] in KNOTS:
+            argv[i - 1 : i + 1] = [f"--knot={argv[i]}"]
+    return argv
+
+
 def run(argv: list[str], stdout=None, stderr=None) -> int:
     """Execute one command line; returns the process exit status."""
     out = stdout if stdout is not None else sys.stdout
@@ -307,7 +318,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         default_format = "table"
     parser = _build_parser(default_format)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_knot_values(argv))
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return 2

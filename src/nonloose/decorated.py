@@ -12,8 +12,8 @@ The search works on shuffle classes directly - a path together with the
 number of minus signs carried by each continued fraction block - rather
 than on concrete sign tuples, so paths with long blocks stay tractable.
 Its visited set lives for one call and its move table in a
-ShorteningGeometry that the caller creates and drops.  Block sizes and
-pairings are memoized in process-wide functools.lru_cache tables.
+ShorteningGeometry that the caller creates and drops.  Nothing is
+memoized across calls.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
 from itertools import accumulate, product
 from typing import Optional, Union
 
@@ -48,6 +47,10 @@ class Sign(IntEnum):
 
 class DecorationError(ValueError):
     """A decorated path or context violated its construction rules."""
+
+
+class ClassificationError(ValueError):
+    """Raised when inputs are invalid or an arm pattern cannot be certified."""
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,8 @@ class UpperSolidTorus:
 
 
 @dataclass(frozen=True)
-class Lens:
-    """The lens space obtained by -p/q surgery on the unknot."""
+class LensSpace:
+    """L(p, q), the result of -p/q surgery on the unknot; (1, 1) is S^3."""
 
     p: int
     q: int
@@ -119,10 +122,22 @@ class Lens:
         if self.p == 1 and self.q == 1:
             return
         if not (0 < self.q < self.p) or math.gcd(self.p, self.q) != 1:
-            raise DecorationError("lens space needs 0 < q < p coprime, or (1, 1)")
+            raise ClassificationError(
+                f"lens space needs 0 < q < p coprime, or (1, 1); got ({self.p}, {self.q})"
+            )
+
+    @property
+    def qbar(self) -> int:
+        """The inverse of q mod p, normalized to 1 <= qbar <= p."""
+        return pow(self.q, -1, self.p) if self.p > 1 else 1
+
+    def __str__(self) -> str:
+        return f"L({self.p},{self.q})"
 
 
-Context = Union[ThickenedTorus, LowerSolidTorus, UpperSolidTorus, Lens]
+Lens = LensSpace
+
+Context = Union[ThickenedTorus, LowerSolidTorus, UpperSolidTorus, LensSpace]
 
 
 @dataclass(frozen=True)
@@ -155,13 +170,12 @@ def _context_data(c: Context) -> tuple[tuple[Slope, ...], frozenset]:
     if isinstance(c, UpperSolidTorus):
         verts = _minimal_vertices(c.boundary, c.meridian)
         return verts, frozenset({len(verts) - 2})
-    if isinstance(c, Lens):
+    if isinstance(c, LensSpace):
         verts = _minimal_vertices(Slope(-c.p, c.q), ZERO)
         return verts, frozenset({0, len(verts) - 2})
     raise DecorationError(f"unknown context {c!r}")
 
 
-@lru_cache(maxsize=None)
 def _signed_sizes(
     vertices: tuple[Slope, ...], unsigned: frozenset
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -416,22 +430,21 @@ def euler_on_disk(d: DecoratedPath, meridian: Slope) -> int:
     return cross(relative_euler(d), meridian)
 
 
-@lru_cache(maxsize=None)
 def _block_pairings(
     vertices: tuple[Slope, ...], unsigned: frozenset, meridian: Slope
 ) -> tuple[tuple[int, int], ...]:
     blocks, sizes = _signed_sizes(vertices, unsigned)
     out = []
     for blk, size in zip(blocks, sizes):
-        diffs = {
-            (d.a, d.b)
-            for d in (farey_diff(vertices[e + 1], vertices[e]) for e in blk)
-        }
+        diffs = {farey_diff(vertices[e + 1], vertices[e]) for e in blk}
         if len(diffs) != 1:
             raise DecorationError("block crosses an infinity representative change")
-        a, b = next(iter(diffs))
-        out.append((cross(SignedVector(a, b), meridian), size))
+        out.append((cross(diffs.pop(), meridian), size))
     return tuple(out)
+
+
+def _paired_euler(pairings: tuple[tuple[int, int], ...], minus_counts: tuple[int, ...]) -> int:
+    return sum(pairing * (size - 2 * minus) for (pairing, size), minus in zip(pairings, minus_counts))
 
 
 def shuffle_euler_on_disk(sc: ShuffleClass, meridian: Slope) -> int:
@@ -442,7 +455,4 @@ def shuffle_euler_on_disk(sc: ShuffleClass, meridian: Slope) -> int:
     matter.
     """
     pairings = _block_pairings(sc.path, frozenset(sc.unsigned_positions), meridian)
-    return sum(
-        pairing * (size - 2 * minus)
-        for (pairing, size), minus in zip(pairings, sc.minus_counts)
-    )
+    return _paired_euler(pairings, sc.minus_counts)

@@ -148,13 +148,18 @@ def farey_sum(x: Slope, y: Slope) -> Slope:
 
 
 def iterated_sum(x: Slope, k: int, y: Slope) -> Slope:
-    """k-fold mediant x (+) k*y; k = 0 returns x unchanged."""
+    """k-fold mediant x (+) k*y; k = 0 returns x unchanged.
+
+    The first mediant checks adjacency and fixes infinity's representative;
+    every later one adds that same integer vector for y.
+    """
     if k < 0:
         raise FareyError("iterated mediant needs k >= 0")
-    out = x
-    for _ in range(k):
-        out = farey_sum(out, y)
-    return out
+    if k == 0:
+        return x
+    first = farey_sum(x, y)
+    a, b = ((1 if first.num >= 0 else -1), 0) if y.is_infinite else (y.num, y.den)
+    return Slope(first.num + (k - 1) * a, first.den + (k - 1) * b)
 
 
 def farey_diff(x: Slope, y: Slope) -> SignedVector:

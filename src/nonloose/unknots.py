@@ -18,54 +18,25 @@ through the lens space L(p, qbar) whose Heegaard tori are swapped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .cfrac import ancestor, expand
 from .decorated import (
+    ClassificationError,
+    LensSpace,
     ShorteningGeometry,
     ShuffleClass,
     Sign,
     UpperSolidTorus,
+    _block_pairings,
+    _paired_euler,
     enumerate_tight,
     shorten_to_minimal,
-    shuffle_euler_on_disk,
 )
-from .farey import INFINITY, ZERO, Slope, dot, farey_sum, has_edge
-
-
-class ClassificationError(ValueError):
-    """Raised when inputs are invalid or an arm pattern cannot be certified."""
-
-
-@dataclass(frozen=True)
-class LensSpace:
-    """L(p, q), the result of -p/q surgery on the unknot; (1, 1) is S^3."""
-
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.p == 1 and self.q == 1:
-            return
-        if self.p < 1 or not (0 < self.q < self.p) or math.gcd(self.p, self.q) != 1:
-            raise ClassificationError(
-                f"lens space needs 0 < q < p coprime, or (1, 1); got ({self.p}, {self.q})"
-            )
-
-    @property
-    def qbar(self) -> int:
-        """The inverse of q mod p, normalized to 1 <= qbar <= p."""
-        if self.p == 1:
-            return 1
-        return pow(self.q, -1, self.p)
-
-    def __str__(self) -> str:
-        return f"L({self.p},{self.q})"
+from .farey import INFINITY, ZERO, Slope, dot, has_edge, iterated_sum
 
 
 @dataclass(frozen=True)
@@ -113,14 +84,6 @@ def _work_meridian(lens: LensSpace, knot: KnotId) -> Slope:
     return Slope(-lens.p, q_eff)
 
 
-@lru_cache(maxsize=None)
-def _slope_walk(meridian: Slope, k: int) -> Slope:
-    s0 = INFINITY if meridian == Slope(-1, 1) else ancestor(meridian)
-    if k == 0:
-        return s0
-    return farey_sum(_slope_walk(meridian, k - 1), meridian)
-
-
 def slope_k(lens: LensSpace, knot: KnotId, k: int) -> Slope:
     """Dividing slope of the k-th standard neighborhood of the knot.
 
@@ -130,7 +93,9 @@ def slope_k(lens: LensSpace, knot: KnotId, k: int) -> Slope:
     """
     if k < 0:
         raise ClassificationError("k must be non-negative")
-    return _slope_walk(_work_meridian(lens, knot), k)
+    meridian = _work_meridian(lens, knot)
+    s0 = INFINITY if meridian == Slope(-1, 1) else ancestor(meridian)
+    return iterated_sum(s0, k, meridian)
 
 
 @dataclass(frozen=True)
@@ -159,22 +124,26 @@ class NonLooseClass:
 def _euler_rep(x: int, p: int) -> int:
     # representative of x mod p in (-p, p], moved by whole multiples of p
     # only when x starts outside that window
-    while x > p:
-        x -= p
-    while x <= -p:
-        x += p
+    if x > p:
+        return (x - 1) % p + 1
+    if x <= -p:
+        return -(-x % p)
     return x
 
 
-def _class_from_shuffle(
-    lens: LensSpace, knot: KnotId, k: int, s: Slope, sc: ShuffleClass
-) -> NonLooseClass:
-    p = lens.p
-    e_disk = shuffle_euler_on_disk(sc, ZERO)
-    tb_q = Fraction(abs(dot(ZERO, s)), p)
-    rot_q = Fraction(e_disk, p)
-    euler = _euler_rep(-e_disk, p)
-    return NonLooseClass(lens, knot, s, sc, tb_q, rot_q, euler, k)
+def _classes_from_shuffles(
+    lens: LensSpace, knot: KnotId, k: int, complements: list[ShuffleClass]
+) -> list[NonLooseClass]:
+    # complements share one path from s_k to the meridian 0
+    p, path = lens.p, complements[0].path
+    pairings = _block_pairings(path, frozenset({len(path) - 2}), ZERO)
+    tb_q = Fraction(abs(dot(ZERO, path[0])), p)
+    out = []
+    for sc in complements:
+        e_disk = _paired_euler(pairings, sc.minus_counts)
+        rot_q, euler = Fraction(e_disk, p), _euler_rep(-e_disk, p)
+        out.append(NonLooseClass(lens, knot, path[0], sc, tb_q, rot_q, euler, k))
+    return out
 
 
 def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClass]:
@@ -184,14 +153,13 @@ def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClas
     meridian 0 and boundary slope s_k, carrying exact tb, rot, and the
     Euler class of the ambient structure.
     """
-    s = slope_k(lens, knot, k)
-    ctx = UpperSolidTorus(meridian=ZERO, boundary=s)
-    return [_class_from_shuffle(lens, knot, k, s, sc) for sc in enumerate_tight(ctx)]
+    ctx = UpperSolidTorus(meridian=ZERO, boundary=slope_k(lens, knot, k))
+    return _classes_from_shuffles(lens, knot, k, enumerate_tight(ctx))
 
 
-def stabilization_geometry(c: NonLooseClass) -> ShorteningGeometry:
-    """Shortening geometry shared by every stabilization of the classes at
-    c's level: their common complement path with s_{k-1} put in front."""
+def _stabilization_geometry(c: NonLooseClass) -> ShorteningGeometry:
+    # shared by every stabilization of the classes at c's level: their
+    # common complement path with s_{k-1} put in front
     v = (slope_k(c.lens, c.knot, c.k - 1),) + c.complement.path
     assert has_edge(v[0], v[1])
     # the new edge never joins the leading block of the old path: s_{k-1}
@@ -200,35 +168,34 @@ def stabilization_geometry(c: NonLooseClass) -> ShorteningGeometry:
     return ShorteningGeometry(v, False, True)
 
 
-def stabilize(
-    c: NonLooseClass, sign: Sign, geometry: Optional[ShorteningGeometry] = None
-) -> Optional[NonLooseClass]:
+def _stabilized_counts(c: NonLooseClass, sign: Sign, geometry: ShorteningGeometry) -> Optional[tuple]:
+    # minus counts of the stabilized class one level down, None if loose;
+    # geometry is _stabilization_geometry of a class at c's level
+    counts = ((1 if sign is Sign.MINUS else 0),) + c.complement.minus_counts
+    finals = shorten_to_minimal(geometry, counts)
+    if len(finals) > 1:
+        raise ClassificationError(f"ambiguous shortening of {c.class_id} with sign {sign}")
+    return finals.pop() if finals else None
+
+
+def stabilize(c: NonLooseClass, sign: Sign) -> Optional[NonLooseClass]:
     """Stabilize a non-loose class once; None means the result is loose.
 
     The complement gains the basic slice between s_{k-1} and s_k with the
     stabilization sign; the class survives exactly when the extended path
     consistently shortens to the minimal one, and is then read off from
-    the shortened shuffle class.  geometry, when given, is
-    stabilization_geometry of a class at c's level.
+    the shortened shuffle class.
     """
     if sign not in (Sign.PLUS, Sign.MINUS):
         raise ClassificationError("stabilization sign must be PLUS or MINUS")
     if c.k == 0:
         return None
-    if geometry is None:
-        geometry = stabilization_geometry(c)
-    assert geometry.vertices[1:] == c.complement.path
-    counts = ((1 if sign is Sign.MINUS else 0),) + c.complement.minus_counts
-    finals = shorten_to_minimal(geometry, counts)
-    if not finals:
+    geometry = _stabilization_geometry(c)
+    counts = _stabilized_counts(c, sign, geometry)
+    if counts is None:
         return None
-    if len(finals) != 1:
-        raise ClassificationError(
-            f"ambiguous shortening of {c.class_id} with sign {sign}"
-        )
-    path = geometry.target
-    sc = ShuffleClass(path, finals.pop(), (len(path) - 2,))
-    return _class_from_shuffle(c.lens, c.knot, c.k - 1, path[0], sc)
+    sc = ShuffleClass(geometry.target, counts, (len(geometry.target) - 2,))
+    return _classes_from_shuffles(c.lens, c.knot, c.k - 1, [sc])[0]
 
 
 class RangeKind(Enum):
@@ -375,29 +342,23 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
         raise ClassificationError("k_max must be at least 3 to certify arm patterns")
     base_knot = replace(knot, positive=True)
     levels = [classes_at_slope(lens, base_knot, k) for k in range(k_max + 1)]
-    by_key = {c.key: c for level in levels for c in level}
-    succ: dict[tuple, dict[Sign, Optional[tuple]]] = {}
-    preds: dict[tuple, dict[Sign, list[tuple]]] = {c.key: {Sign.PLUS: [], Sign.MINUS: []} for c in by_key.values()}
+    # (key of a stabilization result, sign) -> the classes stabilizing to it
+    preds: dict[tuple, list[NonLooseClass]] = {}
+    bases = list(levels[0])
     problems: list[str] = []
     for k in range(1, k_max + 1):
-        geometry = stabilization_geometry(levels[k][0])
+        geometry = _stabilization_geometry(levels[k][0])
         for c in levels[k]:
-            succ[c.key] = {}
+            tight = 0
             for sign in (Sign.PLUS, Sign.MINUS):
-                r = stabilize(c, sign, geometry)
-                succ[c.key][sign] = r.key if r is not None else None
-                if r is not None:
-                    preds[r.key][sign].append(c.key)
-            if all(succ[c.key][s] is not None for s in (Sign.PLUS, Sign.MINUS)):
+                counts = _stabilized_counts(c, sign, geometry)
+                if counts is not None:
+                    preds.setdefault(((k - 1, counts), sign), []).append(c)
+                    tight += 1
+            if tight == 2:
                 problems.append(f"{c.class_id}: two tight stabilizations")
-    for c in levels[0]:
-        succ[c.key] = {Sign.PLUS: None, Sign.MINUS: None}
-    bases = [
-        c
-        for level in levels
-        for c in level
-        if succ[c.key][Sign.PLUS] is None and succ[c.key][Sign.MINUS] is None
-    ]
+            elif tight == 0:
+                bases.append(c)
     ranges: list[MountainRange] = []
     claimed: set[tuple] = set()
     for base in bases:
@@ -408,24 +369,23 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
             continue
         arms: dict[Sign, list[NonLooseClass]] = {Sign.PLUS: [], Sign.MINUS: []}
         for sign in (Sign.PLUS, Sign.MINUS):
-            cur = base.key
+            cur = base
             for _ in range(base.k + 1, k_max + 1):
-                sources = preds[cur][sign]
+                sources = preds.get((cur.key, sign), [])
                 if not sources:
                     break
                 if len(sources) > 1:
                     problems.append(f"{base.class_id}: branching {sign!s} arm")
-                    sources = []
                     break
                 cur = sources[0]
-                arms[sign].append(by_key[cur])
+                arms[sign].append(cur)
         mr = _assemble_range(base, arms, k_max, problems)
         if mr is not None:
             ranges.append(mr)
             claimed.update(m.cls.key for m in mr.members)
-    unclaimed = set(by_key) - claimed
+    unclaimed = sum(map(len, levels)) - len(claimed)
     if unclaimed:
-        problems.append(f"{len(unclaimed)} classes outside every certified range")
+        problems.append(f"{unclaimed} classes outside every certified range")
     if problems:
         raise ClassificationError("; ".join(sorted(problems)))
     if not knot.positive:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from math import gcd
 
-from nonloose.farey import INFINITY, Slope, cw_between, dot, has_edge
+from nonloose.farey import INFINITY, Slope, cw_between, dot, farey_sum, has_edge
 
 
 def intersection_count(x: Slope, y: Slope) -> int:
@@ -30,6 +30,24 @@ def intersection_count(x: Slope, y: Slope) -> int:
         if 0 < level < 2 * end or 2 * end < level < 0:
             crossings += 1
     return crossings
+
+
+def iterated_sum_by_steps(x: Slope, k: int, y: Slope) -> Slope:
+    """k-fold mediant x (+) k*y taken one farey_sum at a time."""
+    out = x
+    for _ in range(k):
+        out = farey_sum(out, y)
+    return out
+
+
+def euler_rep_by_subtraction(x: int, p: int) -> int:
+    """Representative of x mod p in (-p, p], reached by adding or
+    subtracting p one step at a time when x starts outside that window."""
+    while x > p:
+        x -= p
+    while x <= -p:
+        x += p
+    return x
 
 
 def bounded_slopes(height: int) -> list[Slope]:

@@ -208,3 +208,12 @@ def test_env_default_format(monkeypatch):
     monkeypatch.setenv("NONLOOSE_FORMAT", "bogus")
     code, out, _ = invoke(["classify", "3", "1"])
     assert not out.startswith("kind,")
+
+
+def test_classify_knot_value_with_leading_dash():
+    for knot in ("-K0", "-K1"):
+        code, out, err = invoke(["classify", "5", "2", "--knot", knot])
+        assert code == 0 and err == ""
+        assert (code, out, err) == invoke(["classify", "5", "2", f"--knot={knot}"])
+    code, _, err = invoke(["classify", "5", "2", "--knot", "--kmax", "3"])
+    assert code == 2 and "--knot" in err

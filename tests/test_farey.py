@@ -135,3 +135,14 @@ def test_cross_pairing():
     assert cross(SignedVector(1, 0), Slope(-5, 2)) == 2
     assert cross(SignedVector(2, -1), ZERO) == 2 * 1 - (-1) * 0
     assert cross(SignedVector(1, 2), SignedVector(3, 4)) == -2
+
+
+def test_iterated_sum_matches_repeated_mediants():
+    from oracles import iterated_sum_by_steps
+
+    pool = bounded_slopes(7)
+    pairs = [(x, y) for x in pool for y in pool if x != y and has_edge(x, y)]
+    assert any(x.is_infinite for x, _ in pairs) and any(y.is_infinite for _, y in pairs)
+    for x, y in pairs:
+        for k in range(9):
+            assert iterated_sum(x, k, y) == iterated_sum_by_steps(x, k, y), (x, k, y)

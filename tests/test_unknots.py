@@ -307,3 +307,26 @@ def test_existence_oracle_rejects_contradictions():
         )
     with pytest.raises(ClassificationError):
         admits_nonloose(TopologyFacts(contained_in_ball=True), Flavor.LEGENDRIAN)
+
+
+def test_one_lens_type():
+    from nonloose import decorated, unknots
+
+    assert decorated.Lens is unknots.LensSpace is decorated.LensSpace
+    assert unknots.ClassificationError is decorated.ClassificationError
+    assert str(decorated.Lens(5, 2)) == "L(5,2)" and decorated.Lens(5, 2).qbar == 3
+
+
+def test_slope_k_long_walk():
+    # k steps of the mediant walk, far past the interpreter's recursion limit
+    assert slope_k(LensSpace(97, 35), K1, 5000) == Slope(-485035, 305022)
+
+
+def test_euler_rep_matches_subtraction():
+    from oracles import euler_rep_by_subtraction
+
+    from nonloose.unknots import _euler_rep
+
+    for p in range(1, 60):
+        for x in range(-7 * p - 3, 7 * p + 4):
+            assert _euler_rep(x, p) == euler_rep_by_subtraction(x, p), (x, p)

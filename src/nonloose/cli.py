@@ -72,7 +72,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
 
 
-def _build_parser(default_format: str) -> _Parser:
+def _build_parser() -> _Parser:
     top = _Parser(prog="nonloose", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -81,7 +81,7 @@ def _build_parser(default_format: str) -> _Parser:
     cl.add_argument("q", type=int)
     cl.add_argument("--knot", default="K0", choices=KNOTS)
     cl.add_argument("--kmax", type=int, default=5)
-    cl.add_argument("--format", default=default_format, choices=FORMATS)
+    cl.add_argument("--format", default=None, choices=FORMATS)
     cl.add_argument("--cache-dir", default=None)
 
     tc = sub.add_parser("tight-count", help="count tight contact structures")
@@ -131,14 +131,14 @@ def _build_parser(default_format: str) -> _Parser:
     c_pos.add_argument("q", type=int)
     c_pos.add_argument("tb", type=int)
     c_pos.add_argument("rot", type=int)
-    c_pos.add_argument("--format", default=default_format, choices=["table", "json"])
+    c_pos.add_argument("--format", default=None, choices=["table", "json"])
     c_neg = csub.add_parser("negative")
     c_neg.add_argument("p", type=int)
     c_neg.add_argument("q", type=int)
     c_neg.add_argument("tb", type=int)
     c_fam = csub.add_parser("family")
     c_fam.add_argument("n", type=int)
-    c_fam.add_argument("--format", default=default_format, choices=["table", "json"])
+    c_fam.add_argument("--format", default=None, choices=["table", "json"])
 
     ex = sub.add_parser("exists", help="non-loose existence oracle")
     ex.add_argument("--flavor", required=True, choices=["legendrian", "transverse"])
@@ -149,6 +149,11 @@ def _build_parser(default_format: str) -> _Parser:
     ex.add_argument("--ambient", default=None)
     ex.add_argument("--summand-tight", default=None, choices=["yes", "no"])
     return top
+
+
+# built by the first run() call, not at import, then shared and never changed;
+# the --format defaults are None so NONLOOSE_FORMAT can be read on every call
+_PARSER: Optional[_Parser] = None
 
 
 def _parse_decorated(text: str) -> DecoratedPath:
@@ -205,7 +210,7 @@ def _run_classify(args, out) -> None:
         ranges = classify(lens, knot, args.kmax)
         payload = render.classification_dict(lens, knot, args.kmax, ranges)
         if cache_file is not None:
-            _write_atomic(cache_file, json.dumps(payload, indent=2))
+            _write_atomic(cache_file, json.dumps(payload, separators=(",", ":")))
     if args.format == "json":
         out.write(render.classification_json(payload))
     elif args.format == "csv":
@@ -313,15 +318,17 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     """Execute one command line; returns the process exit status."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    default_format = os.environ.get("NONLOOSE_FORMAT", "table")
-    if default_format not in FORMATS:
-        default_format = "table"
-    parser = _build_parser(default_format)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(_attach_knot_values(argv))
+        args = _PARSER.parse_args(_attach_knot_values(argv))
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return 2
+    if getattr(args, "format", "") is None:
+        default_format = os.environ.get("NONLOOSE_FORMAT", "table")
+        args.format = default_format if default_format in FORMATS else "table"
     try:
         if args.command == "classify":
             _run_classify(args, out)

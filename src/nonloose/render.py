@@ -90,9 +90,13 @@ def classification_svg(payload: dict) -> str:
     """Static mountain-range plot: rotation on x, tb on y, one marker per
     member, stabilization arms drawn as segments."""
     ranges = payload["ranges"]
-    members = [(ri, m) for ri, r in enumerate(ranges) for m in r["members"]]
-    rots = [float(Fraction(m["rot"])) for _, m in members]
-    tbs = [float(Fraction(m["tb"])) for _, m in members]
+    # each member's (rot, tb), parsed once and grouped by range
+    values = [
+        [(float(Fraction(m["rot"])), float(Fraction(m["tb"]))) for m in r["members"]]
+        for r in ranges
+    ]
+    rots = [rot for vs in values for rot, _ in vs]
+    tbs = [tb for vs in values for _, tb in vs]
     lo_r, hi_r = min(rots, default=0.0) - 0.5, max(rots, default=0.0) + 0.5
     lo_t, hi_t = min(tbs, default=0.0) - 0.5, max(tbs, default=0.0) + 0.5
     width, height, margin = 640, 480, 48
@@ -102,9 +106,6 @@ def classification_svg(payload: dict) -> str:
 
     def y(tb: float) -> float:
         return height - margin - (tb - lo_t) / (hi_t - lo_t) * (height - 2 * margin)
-
-    def pos(m: dict) -> tuple[float, float]:
-        return x(float(Fraction(m["rot"]))), y(float(Fraction(m["tb"])))
 
     lens, knot = payload["lens"], payload["knot"]
     colors = ["#1f6feb", "#d2322d", "#2c8a3d", "#8250df", "#b08800", "#0b7285"]
@@ -120,24 +121,22 @@ def classification_svg(payload: dict) -> str:
             f'<line x1="{x(0):.1f}" y1="{margin}" x2="{x(0):.1f}" '
             f'y2="{height - margin}" stroke="#cccccc"/>'
         )
-    for ri, r in enumerate(ranges):
+    for ri, (r, vs) in enumerate(zip(ranges, values)):
         color = colors[ri % len(colors)]
-        base = r["members"][0]
+        points = [(x(rot), y(tb)) for rot, tb in vs]
         for arm in ("+", "-"):
-            chain = [base] + [m for m in r["members"] if m["arm"] == arm]
-            for a, b in zip(chain, chain[1:]):
-                (x1, y1), (x2, y2) = pos(a), pos(b)
+            chain = [points[0]] + [pt for m, pt in zip(r["members"], points) if m["arm"] == arm]
+            for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
                 parts.append(
                     f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
                     f'stroke="{color}" stroke-width="1.5"/>'
                 )
-        for m in r["members"]:
-            cx, cy = pos(m)
+        for m, (cx, cy) in zip(r["members"], points):
             parts.append(
                 f'<circle class="member" cx="{cx:.1f}" cy="{cy:.1f}" r="4" '
                 f'fill="{color}"><title>rot={m["rot"]} tb={m["tb"]}</title></circle>'
             )
-        bx, by = pos(base)
+        bx, by = points[0]
         parts.append(
             f'<text x="{bx:.1f}" y="{by + 16:.1f}" font-size="11" '
             f'text-anchor="middle" fill="{color}">({r["base"][0]}, {r["base"][1]})</text>'

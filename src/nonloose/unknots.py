@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .cfrac import ancestor, expand
@@ -115,7 +116,7 @@ class NonLooseClass:
     def key(self) -> tuple:
         return (self.k, self.complement.minus_counts)
 
-    @property
+    @cached_property
     def class_id(self) -> str:
         counts = ",".join(str(c) for c in self.complement.minus_counts)
         return f"s{self.k}[{counts}]"

@@ -1,11 +1,18 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
+import nonloose
 from nonloose import cli
-from nonloose.cli import run
-from nonloose.render import classification_svg
+from nonloose.cli import FORMATS, run
+from nonloose.render import classification_dict, classification_svg
+from nonloose.unknots import K0, LensSpace, classify
 
 
 def invoke(argv):
@@ -217,3 +224,90 @@ def test_classify_knot_value_with_leading_dash():
         assert (code, out, err) == invoke(["classify", "5", "2", f"--knot={knot}"])
     code, _, err = invoke(["classify", "5", "2", "--knot", "--kmax", "3"])
     assert code == 2 and "--knot" in err
+
+
+def test_parser_built_once_per_process(monkeypatch):
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    assert invoke(["classify", "3", "1"])[0] == 0
+    assert invoke(["cable", "family", "2"])[0] == 0
+    assert invoke(["farey", "sum", "0/1", "1/0"])[0] == 0
+    assert len(builds) == 1
+
+
+def test_usage_error_leaves_shared_parser_intact(monkeypatch):
+    query = ["classify", "5", "2", "--knot", "-K1", "--kmax", "4"]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    fresh = invoke(query)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    code, _, err = invoke(["classify", "5"])
+    assert code == 2 and err.startswith("usage error:")
+    assert invoke(query) == fresh
+
+
+def test_env_default_format_for_cable(monkeypatch):
+    monkeypatch.setenv("NONLOOSE_FORMAT", "json")
+    assert json.loads(invoke(["cable", "family", "3"])[1]) == {
+        "tb": 14, "rot": 5, "sl": 9, "count": 3
+    }
+    assert json.loads(invoke(["cable", "positive", "2", "3", "1", "0"])[1]) == {
+        "tb": 5, "rot": 0, "sl": 5
+    }
+    # svg is not among cable's formats, so cable prints its table form
+    monkeypatch.setenv("NONLOOSE_FORMAT", "svg")
+    assert invoke(["cable", "family", "3"]) == (0, "tb=14 rot=5 sl=9 count=3\n", "")
+    assert invoke(["cable", "positive", "2", "3", "1", "0"]) == (0, "tb=5 rot=0 sl=5\n", "")
+
+
+def test_import_builds_no_parser():
+    src = str(Path(nonloose.__file__).parents[1])
+    code = "import nonloose.cli as c; print(c._PARSER is None)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (0, "True\n")
+
+
+def test_classify_cache_reads_indented_files(tmp_path, monkeypatch):
+    query = ["classify", "7", "3", "--knot", "K1", "--kmax", "4"]
+    fresh = {fmt: invoke(query + ["--format", fmt]) for fmt in FORMATS}
+    assert invoke(query + ["--cache-dir", str(tmp_path)])[0] == 0
+    (path,) = tmp_path.glob("classify-*-7-3-K1-4.json")
+    # the layout older versions wrote
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+
+    def fail(*args):
+        raise AssertionError("warm query recomputed the classification")
+
+    monkeypatch.setattr(cli, "classify", fail)
+    for fmt in FORMATS:
+        assert invoke(query + ["--format", fmt, "--cache-dir", str(tmp_path)]) == fresh[fmt]
+
+
+def test_classify_cache_files_are_compact(tmp_path):
+    assert invoke(["classify", "7", "3", "--cache-dir", str(tmp_path)])[0] == 0
+    (path,) = tmp_path.glob("classify-*-7-3-K0-5.json")
+    text = path.read_text()
+    assert "\n" not in text and ", " not in text and ": " not in text
+    lens = LensSpace(7, 3)
+    assert json.loads(text) == classification_dict(lens, K0, 5, classify(lens, K0, 5))
+
+
+def test_svg_output_pinned():
+    # SHA-256 of the SVG text: renderer changes must keep these bytes
+    for argv, digest in [
+        (["classify", "7", "3"], "a7fe3cb3a367725086cd80af99b484f3b1e918424fbfd5631e8d2414e54918ee"),
+        (
+            ["classify", "5", "2", "--knot", "K1", "--kmax", "5"],
+            "9aced55cc6714bd835b9058bfdbae7a27d5ecad01db25ad4243c25e9f3ccbd80",
+        ),
+    ]:
+        code, out, err = invoke(argv + ["--format", "svg"])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

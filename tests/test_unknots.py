@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import gcd
 
@@ -330,3 +331,26 @@ def test_euler_rep_matches_subtraction():
     for p in range(1, 60):
         for x in range(-7 * p - 3, 7 * p + 4):
             assert _euler_rep(x, p) == euler_rep_by_subtraction(x, p), (x, p)
+
+
+def test_class_id_text_and_copies():
+    from nonloose.unknots import _flip_orientation
+
+    ids = [c.class_id for c in classes_at_slope(LensSpace(5, 2), K0, 1)]
+    assert ids == ["s1[0,0]", "s1[0,1]", "s1[1,0]", "s1[1,1]", "s1[2,0]", "s1[2,1]"]
+    (mr,) = [r for r in classify(LensSpace(5, 2), K0, 3) if r.members[0].member_id == "s0[2]"]
+    c = mr.members[1].cls
+    assert c.class_id == "s1[2,1]" and c.class_id is c.class_id
+    # the cached id is no dataclass field: equality and hashing ignore it
+    assert [f.name for f in fields(c)] == [
+        "lens", "knot", "dividing_slope", "complement", "tb_q", "rot_q", "euler", "k"
+    ]
+    assert c == replace(c) and hash(c) == hash(replace(c))
+    assert replace(c, k=7).class_id == "s7[2,1]"
+    # the orientation flip copies each class with replace(); every copy
+    # computes its own id, after the originals have cached theirs
+    before = [m.member_id for m in mr.members]
+    flipped = _flip_orientation(mr)
+    assert all("class_id" not in vars(m.cls) for m in flipped.members)
+    assert [m.member_id for m in flipped.members] == before
+    assert all(not m.cls.knot.positive for m in flipped.members)

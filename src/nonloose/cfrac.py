@@ -1,27 +1,22 @@
 """Negative continued fractions and minimal clockwise Farey paths.
 
 Slopes below -1 expand uniquely as a_0 - 1/(a_1 - 1/(... - 1/a_n)) with
-every coefficient a_i <= -2.  Truncating or bumping that expansion walks
-the Farey graph: dropping the last coefficient gives the farthest
-anticlockwise neighbor (the "ancestor"), bumping it by one gives the
-farthest clockwise neighbor that is larger (the "successor").  Minimal
-clockwise paths between arbitrary slopes are computed by a greedy
-farthest-neighbor descent, which is the same subdivision the expansion
-performs.
+every coefficient a_i <= -2.  The two Farey parents of such a slope n/d,
+its neighbors of smaller denominator, come in closed form from one
+modular inverse of n mod d: the larger is the "successor", the farthest
+clockwise neighbor above it, and the smaller the "ancestor", whose
+expansion drops a_n.  Minimal clockwise paths step from each vertex to
+its farthest clockwise neighbor inside the remaining arc, read off after
+a determinant-one change of basis sends the vertex to infinity.  Adjacent
+slopes pair to determinant one, so each vertex's basis is built from the
+coordinates of the vertex before it; only the first needs an inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .farey import (
-    INFINITY,
-    FareyError,
-    Slope,
-    cw_between,
-    dot,
-    has_edge,
-)
+from .farey import INFINITY, FareyError, Slope, dot
 
 
 @dataclass(frozen=True)
@@ -57,12 +52,22 @@ class FareyPath:
             raise FareyError("a path needs at least one edge")
         if len(set(v)) != len(v):
             raise FareyError("path vertices must be distinct")
-        last = v[-1]
-        for i in range(1, len(v)):
-            if not has_edge(v[i - 1], v[i]):
-                raise FareyError(f"{v[i - 1]} and {v[i]} are not adjacent")
-            if not cw_between(v[i - 1], v[i], last):
+        # dot(x, y) <= 0 iff x <= y in the order with infinity maximal, so
+        # cw_between(a, x, last) is read off the signs of dot(a, x), dot(a,
+        # last) and dot(x, last); each vertex's dot with last is reused
+        ln, ld = v[-1].num, v[-1].den
+        a = v[0]
+        an, ad = a.num, a.den
+        a_last = an * ld - ad * ln
+        for x in v[1:]:
+            xn, xd = x.num, x.den
+            ax = an * xd - ad * xn
+            if ax != 1 and ax != -1:
+                raise FareyError(f"{a} and {x} are not adjacent")
+            x_last = xn * ld - xd * ln
+            if (ax > 0 or x_last > 0) if a_last < 0 else (ax > 0 and x_last > 0):
                 raise FareyError("path is not traversed clockwise")
+            a, an, ad, a_last = x, xn, xd, x_last
 
     def __len__(self) -> int:
         return len(self.vertices) - 1
@@ -96,78 +101,64 @@ def value(cf: ContinuedFraction) -> Slope:
     return Slope(num, den)
 
 
+def _larger_parent(s: Slope) -> tuple[int, int]:
+    # the larger Farey parent u/v of s = n/d < -1 has n*v - d*u = -1 and
+    # 0 <= v < d, so v = -n^-1 mod d; v is 0 exactly when s is an integer
+    if s.is_infinite or s.num >= -s.den:
+        raise FareyError(f"negative continued fractions require s < -1, got {s}")
+    n, d = s.num, s.den
+    v = -pow(n, -1, d) % d
+    return (1 + v * n) // d, v
+
+
 def successor(s: Slope) -> Slope:
     """Farthest clockwise Farey neighbor of s < -1 that is larger than s.
 
-    Computed as [a_0, ..., a_n + 1], cascading the collapse rule: any
-    trailing -1 created by the bump is dropped and the previous
-    coefficient bumped, until all coefficients are <= -2 again.
+    For s = n/d this is the larger Farey parent u/v; a negative integer
+    n gives n + 1.
     """
-    coeffs = list(expand(s).coeffs)
-    coeffs[-1] += 1
-    while len(coeffs) > 1 and coeffs[-1] == -1:
-        coeffs.pop()
-        coeffs[-1] += 1
-    if coeffs == [-1]:
-        return Slope(-1, 1)
-    return value(ContinuedFraction(tuple(coeffs)))
+    u, v = _larger_parent(s)
+    if v == 0:
+        return Slope(s.num + 1)
+    return Slope(u, v)
 
 
 def ancestor(s: Slope) -> Slope:
     """Farthest anticlockwise Farey neighbor of s < -1 that is smaller.
 
-    Drops the last coefficient of the expansion; for negative integers
-    the result is infinity.
+    For s = n/d this is the smaller Farey parent (n - u)/(d - v), whose
+    expansion drops the last coefficient of s; negative integers give
+    infinity.
     """
-    coeffs = expand(s).coeffs
-    if len(coeffs) == 1:
+    u, v = _larger_parent(s)
+    if v == 0:
         return INFINITY
-    return value(ContinuedFraction(coeffs[:-1]))
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    # (x, y) with x*a + y*b == 1, for coprime a, b.
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r == -1:
-        old_x, old_y = -old_x, -old_y
-    return old_x, old_y
-
-
-def _next_toward(v: Slope, target: Slope) -> Slope:
-    """Farthest clockwise neighbor of v inside the clockwise arc (v, target]."""
-    if has_edge(v, target):
-        return target
-    # Send v to infinity by a determinant-one change of basis; neighbors of
-    # infinity are the integers and the farthest one inside the arc is the
-    # floor of the transformed target.
-    x, y = _bezout(v.num, v.den)
-    tn = x * target.num + y * target.den
-    td = -v.den * target.num + v.num * target.den
-    if td < 0:
-        tn, td = -tn, -td
-    n = tn // td
-    return Slope(v.num * n - y, v.den * n + x)
+    return Slope(s.num - u, s.den - v)
 
 
 def _minimal_vertices(r: Slope, s: Slope) -> tuple[Slope, ...]:
     if r == s:
         raise FareyError("minimal path needs distinct endpoints")
+    sn, sd = s.num, s.den
+    vn, vd = r.num, r.den
+    # M = [[x, y], [-vd, vn]] with x*vn + y*vd = 1 sends v to infinity,
+    # whose neighbors are the integers, and s to (x*sn + y*sd)/dot(v, s);
+    # the next vertex is w = M^-1 (floor(M s), 1).  As dot(v, w) = 1, the
+    # unreduced pair (-vd, vn) is the next (x, y): no Euclid per vertex
+    x = pow(vn, -1, vd) if vd else 1
+    y = (1 - x * vn) // vd if vd else 0
+    d = vn * sd - vd * sn
     # |dot(v, s)| strictly decreases along a minimal path and is 0 at s
-    limit = abs(dot(r, s)) + 1
+    limit = abs(d) + 1
     out = [r]
-    cur = r
-    while cur != s:
-        cur = _next_toward(cur, s)
-        out.append(cur)
-        if len(out) > limit:
+    while d != 1 and d != -1:
+        n = (x * sn + y * sd) // d
+        vn, vd, x, y = vn * n - y, vd * n + x, -vd, vn
+        out.append(Slope(vn, vd))
+        if len(out) >= limit:
             raise FareyError("runaway minimal path")
+        d = vn * sd - vd * sn
+    out.append(s)
     return tuple(out)
 
 

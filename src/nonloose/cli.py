@@ -57,14 +57,18 @@ KNOTS = ("K0", "K1", "-K0", "-K1")
 CACHE_SCHEMA = 1
 
 
-class _UsageError(Exception):
+class _ParseEnd(Exception):
+    # argv parsing ended early: (exit code, text for stdout if 0 else stderr)
     pass
 
 
 class _Parser(argparse.ArgumentParser):
-    # raise instead of exiting so run() controls streams and codes
+    # raise instead of printing or exiting so run() controls streams and codes
     def error(self, message):
-        raise _UsageError(message)
+        raise _ParseEnd(2, f"usage error: {message}\n")
+
+    def print_help(self, file=None):
+        raise _ParseEnd(0, self.format_help())
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -323,9 +327,10 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         _PARSER = _build_parser()
     try:
         args = _PARSER.parse_args(_attach_knot_values(argv))
-    except _UsageError as exc:
-        err.write(f"usage error: {exc}\n")
-        return 2
+    except _ParseEnd as exc:
+        code, text = exc.args
+        (err if code else out).write(text)
+        return code
     if getattr(args, "format", "") is None:
         default_format = os.environ.get("NONLOOSE_FORMAT", "table")
         args.format = default_format if default_format in FORMATS else "table"

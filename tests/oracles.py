@@ -3,7 +3,9 @@
 Everything here recomputes results from first principles (lattice
 counting, breadth-first search, explicit state enumeration) so the
 package's closed-form or search-based answers can be checked against an
-implementation that shares no code path with them.
+implementation that shares no code path with them.  The `*_by_*`
+functions and `check_path_by_arcs` keep the package's earlier step-by-step
+versions of primitives it now computes in closed form, as references.
 """
 
 from __future__ import annotations
@@ -11,7 +13,16 @@ from __future__ import annotations
 from collections import deque
 from math import gcd
 
-from nonloose.farey import INFINITY, Slope, cw_between, dot, farey_sum, has_edge
+from nonloose.cfrac import ContinuedFraction, expand, value
+from nonloose.farey import (
+    INFINITY,
+    FareyError,
+    Slope,
+    cw_between,
+    dot,
+    farey_sum,
+    has_edge,
+)
 
 
 def intersection_count(x: Slope, y: Slope) -> int:
@@ -48,6 +59,104 @@ def euler_rep_by_subtraction(x: int, p: int) -> int:
     while x <= -p:
         x += p
     return x
+
+
+def check_path_by_arcs(vertices: tuple[Slope, ...]) -> None:
+    """FareyPath's validation, one has_edge and one cw_between call per
+    edge; raises FareyError with FareyPath's message on a bad path."""
+    v = vertices
+    if len(v) < 2:
+        raise FareyError("a path needs at least one edge")
+    if len(set(v)) != len(v):
+        raise FareyError("path vertices must be distinct")
+    last = v[-1]
+    for i in range(1, len(v)):
+        if not has_edge(v[i - 1], v[i]):
+            raise FareyError(f"{v[i - 1]} and {v[i]} are not adjacent")
+        if not cw_between(v[i - 1], v[i], last):
+            raise FareyError("path is not traversed clockwise")
+
+
+def _bezout(a: int, b: int) -> tuple[int, int]:
+    # (x, y) with x*a + y*b == 1, for coprime a, b, by extended Euclid
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r == -1:
+        old_x, old_y = -old_x, -old_y
+    return old_x, old_y
+
+
+def _next_toward(v: Slope, target: Slope) -> Slope:
+    # farthest clockwise neighbor of v inside the clockwise arc (v, target]:
+    # a determinant-one change of basis sends v to infinity, whose
+    # neighbors are the integers; take the floor of the moved target
+    if has_edge(v, target):
+        return target
+    x, y = _bezout(v.num, v.den)
+    tn = x * target.num + y * target.den
+    td = -v.den * target.num + v.num * target.den
+    if td < 0:
+        tn, td = -tn, -td
+    n = tn // td
+    return Slope(v.num * n - y, v.den * n + x)
+
+
+def minimal_vertices_by_bezout(r: Slope, s: Slope) -> tuple[Slope, ...]:
+    """Minimal clockwise path from r to s, one extended Euclid per vertex."""
+    if r == s:
+        raise FareyError("minimal path needs distinct endpoints")
+    limit = abs(dot(r, s)) + 1
+    out = [r]
+    cur = r
+    while cur != s:
+        cur = _next_toward(cur, s)
+        out.append(cur)
+        if len(out) > limit:
+            raise FareyError("runaway minimal path")
+    return tuple(out)
+
+
+def minimal_path_length_bound(r: Slope, s: Slope) -> int:
+    """Two plus the regular continued fraction quotients, after the
+    integer part, of s moved by a determinant-one basis change that sends
+    r to infinity; an upper bound on the vertices of the minimal path
+    from r to s, cheap even when that path is long."""
+    x, y = _bezout(r.num, r.den)
+    a, b = x * s.num + y * s.den, dot(r, s)
+    a %= b
+    total = 2
+    while a:
+        q, a, b = b // a, b % a, a
+        total += q
+    return total
+
+
+def successor_by_expansion(s: Slope) -> Slope:
+    """Successor as [a_0, ..., a_n + 1], dropping every trailing -1 the
+    bump creates and bumping the coefficient before it."""
+    coeffs = list(expand(s).coeffs)
+    coeffs[-1] += 1
+    while len(coeffs) > 1 and coeffs[-1] == -1:
+        coeffs.pop()
+        coeffs[-1] += 1
+    if coeffs == [-1]:
+        return Slope(-1, 1)
+    return value(ContinuedFraction(tuple(coeffs)))
+
+
+def ancestor_by_expansion(s: Slope) -> Slope:
+    """Ancestor as the expansion with its last coefficient dropped;
+    infinity for negative integers."""
+    coeffs = expand(s).coeffs
+    if len(coeffs) == 1:
+        return INFINITY
+    return value(ContinuedFraction(coeffs[:-1]))
 
 
 def bounded_slopes(height: int) -> list[Slope]:

@@ -2,10 +2,13 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nonloose.cfrac import (
     ContinuedFraction,
     FareyPath,
+    _minimal_vertices,
     ancestor,
     block_structure,
     expand,
@@ -15,9 +18,15 @@ from nonloose.cfrac import (
 )
 from nonloose.farey import INFINITY, ZERO, FareyError, Slope, dot
 from oracles import (
+    ancestor_by_expansion,
+    bounded_slopes,
+    check_path_by_arcs,
     farthest_larger_neighbor,
     farthest_smaller_neighbor,
+    minimal_path_length_bound,
+    minimal_vertices_by_bezout,
     shortest_clockwise_paths,
+    successor_by_expansion,
 )
 
 
@@ -215,3 +224,110 @@ def test_path_validation():
         FareyPath((INFINITY, Slope(1, 1), Slope(1, 2)))  # overshoots the arc
     # a single edge can always be read clockwise
     FareyPath((Slope(-1), Slope(-2)))
+
+
+def test_minimal_vertices_match_bezout_oracle():
+    pool = bounded_slopes(12)
+    for r in pool:
+        for s in pool:
+            if r != s:
+                assert _minimal_vertices(r, s) == minimal_vertices_by_bezout(r, s), (r, s)
+    r = Slope(-20001)
+    long = _minimal_vertices(r, ZERO)
+    assert len(long) == 20002 and long == minimal_vertices_by_bezout(r, ZERO)
+    with pytest.raises(FareyError, match="minimal path needs distinct endpoints"):
+        _minimal_vertices(Slope(-3, 2), Slope(-3, 2))
+
+
+@st.composite
+def big_slopes(draw):
+    num = draw(st.integers(-(10**6), 10**6))
+    den = draw(st.integers(0, 10**6))
+    return Slope(num, den if num or den else 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(big_slopes(), big_slopes())
+def test_minimal_vertices_match_bezout_oracle_on_large_slopes(r, s):
+    # longer paths are left to the 20 001-edge path above
+    assume(r != s and minimal_path_length_bound(r, s) <= 50000)
+    assert _minimal_vertices(r, s) == minimal_vertices_by_bezout(r, s)
+
+
+def test_parents_match_expansion_oracle():
+    for d in range(1, 60):
+        for n in range(d + 1, 400):
+            if gcd(n, d) == 1:
+                s = Slope(-n, d)
+                assert successor(s) == successor_by_expansion(s), s
+                assert ancestor(s) == ancestor_by_expansion(s), s
+
+
+@st.composite
+def slopes_below_minus_one(draw):
+    n = draw(st.integers(2, 10**9))
+    return Slope(-n, draw(st.integers(1, n - 1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(slopes_below_minus_one())
+def test_parents_match_expansion_oracle_on_large_slopes(s):
+    # the path from infinity to s runs through every truncation of the
+    # expansion, so this skips expansions of 50 000 coefficients or more
+    assume(minimal_path_length_bound(INFINITY, s) <= 50000)
+    assert successor(s) == successor_by_expansion(s)
+    assert ancestor(s) == ancestor_by_expansion(s)
+
+
+def test_parents_reject_out_of_range():
+    # messages recorded from the expansion-based successor and ancestor
+    for bad, text in [
+        (Slope(-1), "-1/1"),
+        (Slope(-1, 2), "-1/2"),
+        (ZERO, "0/1"),
+        (Slope(3, 2), "3/2"),
+        (INFINITY, "1/0"),
+    ]:
+        message = f"negative continued fractions require s < -1, got {text}"
+        for f in (successor, ancestor, successor_by_expansion, ancestor_by_expansion):
+            with pytest.raises(FareyError) as exc:
+                f(bad)
+            assert str(exc.value) == message
+
+
+def _validation_outcome(check, vertices):
+    try:
+        check(vertices)
+    except FareyError as exc:
+        return str(exc)
+    return None
+
+
+def test_path_validation_matches_arc_oracle():
+    pool = bounded_slopes(6)
+    neighbors = {v: [w for w in pool if abs(dot(v, w)) == 1] for v in pool}
+    rng = random.Random(5)
+    cases = [()]
+    # every neighbor walk of up to five vertices, running either way and
+    # through infinity, revisits included, and some of six vertices
+    walks = [(v,) for v in pool]
+    for _ in range(4):
+        cases += walks
+        walks = [w + (x,) for w in walks for x in neighbors[w[-1]]]
+    cases += walks
+    cases += [w + (rng.choice(neighbors[w[-1]]),) for w in rng.sample(walks, 20000)]
+    for _ in range(40000):
+        cases.append(tuple(rng.choice(pool) for _ in range(rng.randint(1, 6))))
+    assert len(cases) > 100000
+    outcomes = set()
+    for vertices in cases:
+        want = _validation_outcome(check_path_by_arcs, vertices)
+        assert _validation_outcome(FareyPath, vertices) == want, vertices
+        outcomes.add(want if want is None or "adjacent" not in want else "adjacent")
+    assert outcomes == {
+        None,
+        "adjacent",
+        "a path needs at least one edge",
+        "path vertices must be distinct",
+        "path is not traversed clockwise",
+    }

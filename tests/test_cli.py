@@ -311,3 +311,24 @@ def test_svg_output_pinned():
         code, out, err = invoke(argv + ["--format", "svg"])
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_help_goes_to_the_stdout_argument(monkeypatch):
+    # argparse wraps help text to COLUMNS, so both sides get the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(nonloose.__file__).parents[1])}
+    # SHA-256 of the subprocess stdout, recorded with Python 3.11 before
+    # in-process help was captured; argparse layout varies across versions
+    pinned = {
+        "--help": "c233b6e0d43b378a328b5d9d7b0a3d50684dedbba3b9269fe57ec4cf48a0aa03",
+        "classify --help": "c3ac4050b9e32bcfb3a66b06986684b5cb6519e254dabebdfc0c776cad1f4b02",
+    }
+    for argv in (["--help"], ["-h"], ["classify", "--help"], ["cable", "positive", "-h"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "nonloose", *argv], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert invoke(argv) == (0, done.stdout, "")
+        digest = pinned.get(" ".join(argv))
+        if digest and sys.version_info[:2] == (3, 11):
+            assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest

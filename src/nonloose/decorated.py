@@ -11,9 +11,8 @@ shuffle equivalence.
 The search works on shuffle classes directly - a path together with the
 number of minus signs carried by each continued fraction block - rather
 than on concrete sign tuples, so paths with long blocks stay tractable.
-Its visited set lives for one call and its move table in a
-ShorteningGeometry that the caller creates and drops.  Nothing is
-memoized across calls.
+Its visited set and its move table, a ShorteningGeometry, live for one
+is_tight call; nothing is memoized across calls.
 """
 
 from __future__ import annotations
@@ -185,13 +184,12 @@ def _signed_sizes(
 
 
 class ShorteningGeometry(dict):
-    """Moves of the shortening searches from one base path, by removal mask.
+    """Moves of a shortening search from one base path, by removal mask.
 
-    Every path such a search meets is the base path less some vertices (a
+    Every path the search meets is the base path less some vertices (a
     bitmask of removed positions), and its unsigned edges stay terminal.
     A mask's moves are worked out from integer coordinates on first lookup
-    and kept, so one object serves every search from the base path (all
-    stabilizations at one level of a classification) until dropped.
+    and kept until the object is dropped.
     """
 
     def __init__(self, vertices: tuple[Slope, ...], first_unsigned: bool, last_unsigned: bool):

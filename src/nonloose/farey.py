@@ -172,30 +172,16 @@ def farey_diff(x: Slope, y: Slope) -> SignedVector:
     return SignedVector(x.num - y.num, x.den - y.den)
 
 
-def _lt(x: Slope, y: Slope) -> bool:
-    # Total order underlying the cyclic one: finite slopes by value,
-    # infinity maximal.
-    if x.is_infinite:
-        return False
-    if y.is_infinite:
-        return True
-    return x.num * y.den < y.num * x.den
-
-
-def _le(x: Slope, y: Slope) -> bool:
-    return x == y or _lt(x, y)
-
-
 def cw_between(a: Slope, x: Slope, b: Slope) -> bool:
     """True iff x lies on the closed clockwise arc from a to b.
 
     Clockwise traversal runs 0, positive rationals increasing, infinity,
-    negative rationals increasing to 0; equivalently it follows the total
-    order of _lt with wraparound from infinity to the most negative
-    slopes.
+    negative rationals increasing to 0: the order of finite slopes by
+    value with infinity maximal, wrapping around.  In that order x <= y
+    exactly when dot(x, y) <= 0.
     """
-    if a == b:
+    ab = dot(a, b)
+    if ab == 0:
         raise FareyError("clockwise arc needs distinct endpoints")
-    if _lt(a, b):
-        return _le(a, x) and _le(x, b)
-    return _le(a, x) or _le(x, b)
+    after_a, before_b = dot(a, x) <= 0, dot(x, b) <= 0
+    return (after_a and before_b) if ab < 0 else (after_a or before_b)

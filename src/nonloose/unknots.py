@@ -14,6 +14,22 @@ at (a, b) is a V when both arms (a + i, b + i) and (a - i, b + i) are
 present, a forward slash when only the ascending arm is, and a back
 slash when only the descending arm is.  The second core K1 is classified
 through the lens space L(p, qbar) whose Heegaard tori are swapped.
+
+Stabilization is a closed-form rule on the first two continued fraction
+blocks.  It puts the basic slice s_{k-1} -> s_k, with the stabilization
+sign, in front of the minimal complement path s_k -> 0.  Only the vertex
+right after s_{k-1} can ever be removed, as the others keep their old
+neighbors, so shortening merges the first block edge by edge into the
+signed new edge and leaves s_{k-1} followed by the old path from that
+block's end: the level k-1 path.  Let a be the minus counts, n and t the
+signed block sizes at levels k and k-1, and e = 1 for a negative
+stabilization, 0 for a positive one.  Each merge needs a common sign (or
+an unsigned edge), so the class is tight exactly when a_0 = e*n_0.  The
+merged edge then starts the new first block: alone (minus count e*t_0)
+when both paths have as many blocks, else joined to the old second block
+(e*(t_0 - n_1) + a_1).  Later blocks keep their counts.  This is the
+block and shuffle structure of Honda's classification of tight solid
+tori (Geom. Topol. 4 (2000) 309-368).
 """
 
 from __future__ import annotations
@@ -24,20 +40,19 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .cfrac import ancestor, expand
+from .cfrac import _minimal_vertices, ancestor, expand
 from .decorated import (
     ClassificationError,
     LensSpace,
-    ShorteningGeometry,
     ShuffleClass,
     Sign,
     UpperSolidTorus,
     _block_pairings,
     _paired_euler,
+    _signed_sizes,
     enumerate_tight,
-    shorten_to_minimal,
 )
-from .farey import INFINITY, ZERO, Slope, dot, has_edge, iterated_sum
+from .farey import INFINITY, ZERO, Slope, dot, iterated_sum
 
 
 @dataclass(frozen=True)
@@ -158,44 +173,44 @@ def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClas
     return _classes_from_shuffles(lens, knot, k, enumerate_tight(ctx))
 
 
-def _stabilization_geometry(c: NonLooseClass) -> ShorteningGeometry:
-    # shared by every stabilization of the classes at c's level: their
-    # common complement path with s_{k-1} put in front
-    v = (slope_k(c.lens, c.knot, c.k - 1),) + c.complement.path
-    assert has_edge(v[0], v[1])
-    # the new edge never joins the leading block of the old path: s_{k-1}
-    # is adjacent to the old second vertex, so the triple has determinant 1
-    assert abs(dot(v[0], v[2])) != 2
-    return ShorteningGeometry(v, False, True)
+def _level_sizes(path: tuple[Slope, ...]) -> tuple[int, ...]:
+    # signed block sizes of a complement path, whose last edge is unsigned
+    return _signed_sizes(path, frozenset({len(path) - 2}))[1]
 
 
-def _stabilized_counts(c: NonLooseClass, sign: Sign, geometry: ShorteningGeometry) -> Optional[tuple]:
+def _stabilized_counts(
+    counts: tuple[int, ...], sign: Sign, sizes: tuple[int, ...], below: tuple[int, ...]
+) -> Optional[tuple[int, ...]]:
     # minus counts of the stabilized class one level down, None if loose;
-    # geometry is _stabilization_geometry of a class at c's level
-    counts = ((1 if sign is Sign.MINUS else 0),) + c.complement.minus_counts
-    finals = shorten_to_minimal(geometry, counts)
-    if len(finals) > 1:
-        raise ClassificationError(f"ambiguous shortening of {c.class_id} with sign {sign}")
-    return finals.pop() if finals else None
+    # sizes and below are the _level_sizes of the complement paths at the
+    # class's level and one level down
+    eps = 1 if sign is Sign.MINUS else 0
+    if counts[0] != eps * sizes[0]:
+        return None
+    if len(below) == len(sizes):
+        return (eps * below[0],) + counts[1:]
+    return (eps * (below[0] - sizes[1]) + counts[1],) + counts[2:]
 
 
 def stabilize(c: NonLooseClass, sign: Sign) -> Optional[NonLooseClass]:
     """Stabilize a non-loose class once; None means the result is loose.
 
-    The complement gains the basic slice between s_{k-1} and s_k with the
-    stabilization sign; the class survives exactly when the extended path
-    consistently shortens to the minimal one, and is then read off from
-    the shortened shuffle class.
+    The complement path gains the edge s_{k-1} -> s_k with the
+    stabilization sign.  Shortening merges the path's first block into it
+    edge by edge, so the class survives exactly when every signed edge of
+    that block carries the sign; only the first two blocks change (the
+    module docstring has the argument).
     """
     if sign not in (Sign.PLUS, Sign.MINUS):
         raise ClassificationError("stabilization sign must be PLUS or MINUS")
     if c.k == 0:
         return None
-    geometry = _stabilization_geometry(c)
-    counts = _stabilized_counts(c, sign, geometry)
+    target = _minimal_vertices(slope_k(c.lens, c.knot, c.k - 1), ZERO)
+    sizes = _level_sizes(c.complement.path)
+    counts = _stabilized_counts(c.complement.minus_counts, sign, sizes, _level_sizes(target))
     if counts is None:
         return None
-    sc = ShuffleClass(geometry.target, counts, (len(geometry.target) - 2,))
+    sc = ShuffleClass(target, counts, (len(target) - 2,))
     return _classes_from_shuffles(c.lens, c.knot, c.k - 1, [sc])[0]
 
 
@@ -347,12 +362,12 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
     preds: dict[tuple, list[NonLooseClass]] = {}
     bases = list(levels[0])
     problems: list[str] = []
+    sizes = [_level_sizes(level[0].complement.path) for level in levels]
     for k in range(1, k_max + 1):
-        geometry = _stabilization_geometry(levels[k][0])
         for c in levels[k]:
             tight = 0
             for sign in (Sign.PLUS, Sign.MINUS):
-                counts = _stabilized_counts(c, sign, geometry)
+                counts = _stabilized_counts(c.complement.minus_counts, sign, sizes[k], sizes[k - 1])
                 if counts is not None:
                     preds.setdefault(((k - 1, counts), sign), []).append(c)
                     tight += 1

@@ -11,18 +11,20 @@ versions of primitives it now computes in closed form, as references.
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from math import gcd
 
 from nonloose.cfrac import ContinuedFraction, expand, value
+from nonloose.decorated import ShorteningGeometry, Sign, shorten_to_minimal
 from nonloose.farey import (
     INFINITY,
     FareyError,
     Slope,
-    cw_between,
     dot,
     farey_sum,
     has_edge,
 )
+from nonloose.unknots import NonLooseClass, slope_k
 
 
 def intersection_count(x: Slope, y: Slope) -> int:
@@ -61,9 +63,34 @@ def euler_rep_by_subtraction(x: int, p: int) -> int:
     return x
 
 
+def _lt(x: Slope, y: Slope) -> bool:
+    # total order underlying the cyclic one: finite slopes by value,
+    # infinity maximal
+    if x.is_infinite:
+        return False
+    if y.is_infinite:
+        return True
+    return x.num * y.den < y.num * x.den
+
+
+def _le(x: Slope, y: Slope) -> bool:
+    return x == y or _lt(x, y)
+
+
+def cw_between_by_order(a: Slope, x: Slope, b: Slope) -> bool:
+    """cw_between through the total order with infinity maximal, wrapping
+    around from infinity to the most negative slopes when a > b."""
+    if a == b:
+        raise FareyError("clockwise arc needs distinct endpoints")
+    if _lt(a, b):
+        return _le(a, x) and _le(x, b)
+    return _le(a, x) or _le(x, b)
+
+
 def check_path_by_arcs(vertices: tuple[Slope, ...]) -> None:
-    """FareyPath's validation, one has_edge and one cw_between call per
-    edge; raises FareyError with FareyPath's message on a bad path."""
+    """FareyPath's validation, one has_edge and one cw_between_by_order
+    call per edge; raises FareyError with FareyPath's message on a bad
+    path."""
     v = vertices
     if len(v) < 2:
         raise FareyError("a path needs at least one edge")
@@ -73,7 +100,7 @@ def check_path_by_arcs(vertices: tuple[Slope, ...]) -> None:
     for i in range(1, len(v)):
         if not has_edge(v[i - 1], v[i]):
             raise FareyError(f"{v[i - 1]} and {v[i]} are not adjacent")
-        if not cw_between(v[i - 1], v[i], last):
+        if not cw_between_by_order(v[i - 1], v[i], last):
             raise FareyError("path is not traversed clockwise")
 
 
@@ -184,7 +211,7 @@ def shortest_clockwise_paths(
         for w in pool:
             if w == v or not has_edge(v, w):
                 continue
-            if not cw_between(v, w, s):
+            if not cw_between_by_order(v, w, s):
                 continue
             d = dist[v] + 1
             if w not in dist:
@@ -208,11 +235,17 @@ def shortest_clockwise_paths(
     return paths
 
 
+@cache
+def _slope_pool(height: int) -> tuple[Slope, ...]:
+    # bounded_slopes built once per height for the neighbor searches below
+    return tuple(bounded_slopes(height))
+
+
 def farthest_larger_neighbor(s: Slope, height: int) -> Slope:
     """Brute-force successor: the largest-value bounded-height neighbor of
     s that is larger than s."""
     best = None
-    for w in bounded_slopes(height):
+    for w in _slope_pool(height):
         if w.is_infinite or not has_edge(s, w):
             continue
         if w.num * s.den <= s.num * w.den:
@@ -228,7 +261,7 @@ def farthest_smaller_neighbor(s: Slope, height: int) -> Slope:
     if s.den == 1:
         return INFINITY
     best = None
-    for w in bounded_slopes(height):
+    for w in _slope_pool(height):
         if w.is_infinite or not has_edge(s, w):
             continue
         if w.num * s.den >= s.num * w.den:
@@ -237,6 +270,35 @@ def farthest_smaller_neighbor(s: Slope, height: int) -> Slope:
             best = w
     assert best is not None
     return best
+
+
+def stabilized_counts_by_search(c: NonLooseClass, sign: Sign) -> set[tuple[int, ...]]:
+    """Minus counts of every minimal-path class that the shortening search
+    reaches from c's complement path with the edge s_{k-1} -> s_k, carrying
+    the stabilization sign, put in front; empty when the result is loose.
+    c must lie above level 0."""
+    counts = ((1 if sign is Sign.MINUS else 0),) + c.complement.minus_counts
+    return shorten_to_minimal(_stabilization_geometry(c), counts)
+
+
+# (complement path, geometry) of the level searched last
+_last_geometry: list[tuple] = []
+
+
+def _stabilization_geometry(c: NonLooseClass) -> ShorteningGeometry:
+    # the classes at one level share one complement path object, so one
+    # move table serves all their stabilizations while a test walks them
+    path = c.complement.path
+    if _last_geometry and _last_geometry[0][0] is path:
+        return _last_geometry[0][1]
+    v = (slope_k(c.lens, c.knot, c.k - 1),) + path
+    assert has_edge(v[0], v[1])
+    # the new edge never joins the leading block of the old path: s_{k-1}
+    # is adjacent to the old second vertex, so the triple has determinant 1
+    assert abs(dot(v[0], v[2])) != 2
+    geometry = ShorteningGeometry(v, False, True)
+    _last_geometry[:] = [(path, geometry)]
+    return geometry
 
 
 # --- concrete decorated-path machinery, independent of the package's ---

@@ -146,3 +146,25 @@ def test_iterated_sum_matches_repeated_mediants():
     for x, y in pairs:
         for k in range(9):
             assert iterated_sum(x, k, y) == iterated_sum_by_steps(x, k, y), (x, k, y)
+
+
+def _arc_outcome(f, a, x, b):
+    try:
+        return f(a, x, b)
+    except FareyError as exc:
+        return str(exc)
+
+
+def test_cw_between_matches_order_oracle():
+    from oracles import cw_between_by_order
+
+    pool = bounded_slopes(4)
+    assert INFINITY in pool and ZERO in pool
+    outcomes = set()
+    for a in pool:
+        for x in pool:
+            for b in pool:
+                want = _arc_outcome(cw_between_by_order, a, x, b)
+                assert _arc_outcome(cw_between, a, x, b) == want, (a, x, b)
+                outcomes.add(want)
+    assert outcomes == {True, False, "clockwise arc needs distinct endpoints"}

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonloose.decorated import Sign
 from nonloose.farey import INFINITY, Slope
@@ -354,3 +356,102 @@ def test_class_id_text_and_copies():
     assert all("class_id" not in vars(m.cls) for m in flipped.members)
     assert [m.member_id for m in flipped.members] == before
     assert all(not m.cls.knot.positive for m in flipped.members)
+
+
+def _rule_matches_search(lens, knot, k_min, k_max):
+    # compare the closed-form rule with the shortening search on every
+    # class at levels k_min..k_max (k_min >= 1), for both signs
+    from oracles import stabilized_counts_by_search
+
+    from nonloose.unknots import _level_sizes, _stabilized_counts
+
+    checked = 0
+    below = classes_at_slope(lens, knot, k_min - 1)
+    for k in range(k_min, k_max + 1):
+        level = classes_at_slope(lens, knot, k)
+        sizes, below_sizes = (_level_sizes(cs[0].complement.path) for cs in (level, below))
+        for c in level:
+            for sign in (Sign.PLUS, Sign.MINUS):
+                finals = stabilized_counts_by_search(c, sign)
+                assert len(finals) <= 1, (str(lens), str(knot), c.class_id, sign)
+                want = finals.pop() if finals else None
+                got = _stabilized_counts(c.complement.minus_counts, sign, sizes, below_sizes)
+                assert got == want, (str(lens), str(knot), c.class_id, sign)
+                checked += 1
+        below = level
+    return checked
+
+
+def test_stabilization_rule_matches_search_on_small_lenses():
+    checked = 0
+    for p in range(2, 41):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                for knot in (K0, K1):
+                    checked += _rule_matches_search(LensSpace(p, q), knot, 1, 4)
+    assert checked == 158184
+
+
+def test_stabilization_rule_matches_search_on_integer_families():
+    # K1 of L(p, 1) and of L(p, p - 1) is classified through the same lens
+    checked = 0
+    for p in range(2, 201):
+        for q in (1, p - 1):
+            checked += _rule_matches_search(LensSpace(p, q), K0, 1, 6)
+    assert checked == 451730
+
+
+@st.composite
+def lens_knot_level(draw):
+    p = draw(st.integers(2, 300))
+    q = draw(st.integers(1, p - 1).filter(lambda q: gcd(p, q) == 1))
+    knot = draw(st.sampled_from((K0, K1)))
+    return LensSpace(p, q), knot, draw(st.integers(1, 10))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lens_knot_level())
+def test_stabilization_rule_matches_search_on_drawn_lenses(case):
+    lens, knot, k = case
+    assert _rule_matches_search(lens, knot, k, k) > 0
+
+
+def test_stabilization_rule_matches_concrete_search():
+    # one explicit sign tuple per class, with the minus signs first in each
+    # block, run through the exhaustive search over concrete decorations
+    from oracles import MINUS, NONE, PLUS, blocks_of, minimal_vertices_by_bezout, tight_by_search
+
+    from nonloose.farey import ZERO
+
+    checked = 0
+    for p in range(2, 13):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            lens = LensSpace(p, q)
+            # K1 is classified through L(p, qbar), the same lens when qbar == q
+            for knot in (K0,) if lens.qbar == q else (K0, K1):
+                for k in range(1, 4):
+                    s_below = slope_k(lens, knot, k - 1)
+                    minimal = minimal_vertices_by_bezout(s_below, ZERO)
+                    for c in classes_at_slope(lens, knot, k):
+                        path = c.complement.path
+                        signs = [PLUS] * (len(path) - 2) + [NONE]
+                        for blk, minus in zip(blocks_of(path), c.complement.minus_counts):
+                            for e in blk[:minus]:
+                                signs[e] = MINUS
+                        for sign in (Sign.PLUS, Sign.MINUS):
+                            tight = tight_by_search(
+                                (s_below,) + path, (int(sign),) + tuple(signs), minimal
+                            )
+                            assert tight == (stabilize(c, sign) is not None), (
+                                str(lens), str(knot), c.class_id, sign
+                            )
+                            checked += 1
+    assert checked == 3450
+
+
+@pytest.mark.parametrize("p, q, k_max", [(2000, 1, 3), (2000, 1999, 3), (5, 2, 1500)])
+def test_classify_long_inputs(p, q, k_max):
+    lens = LensSpace(p, q)
+    assert measured_counts(classify(lens, K0, k_max), lens) == range_counts(lens, K0)

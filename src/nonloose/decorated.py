@@ -49,7 +49,12 @@ class DecorationError(ValueError):
 
 
 class ClassificationError(ValueError):
-    """Raised when inputs are invalid or an arm pattern cannot be certified."""
+    """Raised when inputs are invalid or an arm pattern cannot be certified;
+    problems holds one message per problem, and the text joins them."""
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = problems
 
 
 @dataclass(frozen=True)
@@ -392,15 +397,17 @@ def count_tight(c: Context) -> int:
     return total
 
 
+def _shuffle_counts(sizes: tuple[int, ...]):
+    # minus counts of every tight structure, given the signed block sizes
+    return product(*(range(s + 1) for s in sizes))
+
+
 def enumerate_tight(c: Context) -> list[ShuffleClass]:
     """All tight structures on a context as shuffle classes."""
     vertices, unsigned = _context_data(c)
     _, sizes = _signed_sizes(vertices, unsigned)
     pos = tuple(sorted(unsigned))
-    return [
-        ShuffleClass(vertices, counts, pos)
-        for counts in product(*(range(s + 1) for s in sizes))
-    ]
+    return [ShuffleClass(vertices, counts, pos) for counts in _shuffle_counts(sizes)]
 
 
 def relative_euler(d: DecoratedPath) -> SignedVector:
@@ -429,9 +436,10 @@ def euler_on_disk(d: DecoratedPath, meridian: Slope) -> int:
 
 
 def _block_pairings(
-    vertices: tuple[Slope, ...], unsigned: frozenset, meridian: Slope
+    vertices: tuple[Slope, ...], blocks: tuple, sizes: tuple[int, ...], meridian: Slope
 ) -> tuple[tuple[int, int], ...]:
-    blocks, sizes = _signed_sizes(vertices, unsigned)
+    # (pairing of the block's edge class with the meridian, signed size)
+    # per block, from the blocks and sizes _signed_sizes gives
     out = []
     for blk, size in zip(blocks, sizes):
         diffs = {farey_diff(vertices[e + 1], vertices[e]) for e in blk}
@@ -452,5 +460,5 @@ def shuffle_euler_on_disk(sc: ShuffleClass, meridian: Slope) -> int:
     the same endpoint difference, so only the per-block sign totals
     matter.
     """
-    pairings = _block_pairings(sc.path, frozenset(sc.unsigned_positions), meridian)
-    return _paired_euler(pairings, sc.minus_counts)
+    blocks, sizes = _signed_sizes(sc.path, frozenset(sc.unsigned_positions))
+    return _paired_euler(_block_pairings(sc.path, blocks, sizes, meridian), sc.minus_counts)

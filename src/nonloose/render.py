@@ -12,11 +12,6 @@ from fractions import Fraction
 from .unknots import KnotId, LensSpace, MountainRange
 
 
-def _frac(x: Fraction) -> str:
-    # exact "a/b" text, integers printed bare; never decimals
-    return str(x)
-
-
 def classification_dict(
     lens: LensSpace, knot: KnotId, k_max: int, ranges: list[MountainRange]
 ) -> dict:
@@ -27,15 +22,16 @@ def classification_dict(
         "ranges": [
             {
                 "kind": str(mr.kind),
-                "base": [_frac(mr.base_rot), _frac(mr.base_tb)],
+                # Fraction text is exact "a/b", integers bare, never decimals
+                "base": [str(mr.base_rot), str(mr.base_tb)],
                 "euler": mr.euler,
                 "members": [
                     {
                         "id": m.member_id,
                         "arm": m.arm,
                         "index": m.index,
-                        "tb": _frac(m.cls.tb_q),
-                        "rot": _frac(m.cls.rot_q),
+                        "tb": str(m.cls.tb_q),
+                        "rot": str(m.cls.rot_q),
                         "slope": str(m.cls.dividing_slope),
                         "complement": m.cls.complement.to_json_dict(),
                     }

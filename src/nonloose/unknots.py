@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .cfrac import _minimal_vertices, ancestor, expand
 from .decorated import (
@@ -46,13 +46,12 @@ from .decorated import (
     LensSpace,
     ShuffleClass,
     Sign,
-    UpperSolidTorus,
     _block_pairings,
     _paired_euler,
+    _shuffle_counts,
     _signed_sizes,
-    enumerate_tight,
 )
-from .farey import INFINITY, ZERO, Slope, dot, iterated_sum
+from .farey import INFINITY, ZERO, Slope, iterated_sum
 
 
 @dataclass(frozen=True)
@@ -127,13 +126,9 @@ class NonLooseClass:
     euler: int
     k: int
 
-    @property
-    def key(self) -> tuple:
-        return (self.k, self.complement.minus_counts)
-
     @cached_property
     def class_id(self) -> str:
-        counts = ",".join(str(c) for c in self.complement.minus_counts)
+        counts = ",".join(map(str, self.complement.minus_counts))
         return f"s{self.k}[{counts}]"
 
 
@@ -147,19 +142,33 @@ def _euler_rep(x: int, p: int) -> int:
     return x
 
 
-def _classes_from_shuffles(
-    lens: LensSpace, knot: KnotId, k: int, complements: list[ShuffleClass]
-) -> list[NonLooseClass]:
-    # complements share one path from s_k to the meridian 0
-    p, path = lens.p, complements[0].path
-    pairings = _block_pairings(path, frozenset({len(path) - 2}), ZERO)
-    tb_q = Fraction(abs(dot(ZERO, path[0])), p)
-    out = []
-    for sc in complements:
-        e_disk = _paired_euler(pairings, sc.minus_counts)
-        rot_q, euler = Fraction(e_disk, p), _euler_rep(-e_disk, p)
-        out.append(NonLooseClass(lens, knot, path[0], sc, tb_q, rot_q, euler, k))
-    return out
+def _level(lens: LensSpace, knot: KnotId, k: int) -> tuple:
+    # the complement path s_k -> 0 (last edge unsigned) with its signed
+    # block sizes and Euler pairings, from one pass over its blocks
+    path = _minimal_vertices(slope_k(lens, knot, k), ZERO)
+    blocks, sizes = _signed_sizes(path, frozenset({len(path) - 2}))
+    return path, sizes, _block_pairings(path, blocks, sizes, ZERO)
+
+
+def _classes_from_shuffles(lens: LensSpace, knot: KnotId, k: int, level: tuple, all_counts: Iterable) -> tuple:
+    # the classes with these minus counts on a _level's complement path, and
+    # each one's rot times p; tb times p is |num s_k| on the whole level
+    path, _, pairings = level
+    p, pos = lens.p, (len(path) - 2,)
+    tb_q = Fraction(abs(path[0].num), p)
+    classes, rots = [], []
+    for counts in all_counts:
+        e_disk = _paired_euler(pairings, counts)
+        sc = ShuffleClass(path, counts, pos)
+        classes.append(NonLooseClass(lens, knot, path[0], sc, tb_q, Fraction(e_disk, p), _euler_rep(-e_disk, p), k))
+        rots.append(e_disk)
+    return classes, rots
+
+
+def _level_classes(lens: LensSpace, knot: KnotId, k: int) -> tuple:
+    # every class of level k, their rots times p and the level's signed sizes
+    level = _level(lens, knot, k)
+    return (*_classes_from_shuffles(lens, knot, k, level, _shuffle_counts(level[1])), level[1])
 
 
 def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClass]:
@@ -169,8 +178,7 @@ def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClas
     meridian 0 and boundary slope s_k, carrying exact tb, rot, and the
     Euler class of the ambient structure.
     """
-    ctx = UpperSolidTorus(meridian=ZERO, boundary=slope_k(lens, knot, k))
-    return _classes_from_shuffles(lens, knot, k, enumerate_tight(ctx))
+    return _level_classes(lens, knot, k)[0]
 
 
 def _level_sizes(path: tuple[Slope, ...]) -> tuple[int, ...]:
@@ -199,19 +207,21 @@ def stabilize(c: NonLooseClass, sign: Sign) -> Optional[NonLooseClass]:
     stabilization sign.  Shortening merges the path's first block into it
     edge by edge, so the class survives exactly when every signed edge of
     that block carries the sign; only the first two blocks change (the
-    module docstring has the argument).
+    module docstring has the argument).  A negative knot's class carries
+    the positive representative's complement, so the sign is flipped.
     """
     if sign not in (Sign.PLUS, Sign.MINUS):
         raise ClassificationError("stabilization sign must be PLUS or MINUS")
     if c.k == 0:
         return None
-    target = _minimal_vertices(slope_k(c.lens, c.knot, c.k - 1), ZERO)
-    sizes = _level_sizes(c.complement.path)
-    counts = _stabilized_counts(c.complement.minus_counts, sign, sizes, _level_sizes(target))
+    if not c.knot.positive:
+        sign = Sign.MINUS if sign is Sign.PLUS else Sign.PLUS
+    level = _level(c.lens, c.knot, c.k - 1)
+    counts = _stabilized_counts(c.complement.minus_counts, sign, _level_sizes(c.complement.path), level[1])
     if counts is None:
         return None
-    sc = ShuffleClass(target, counts, (len(target) - 2,))
-    return _classes_from_shuffles(c.lens, c.knot, c.k - 1, [sc])[0]
+    (out,), _ = _classes_from_shuffles(c.lens, c.knot, c.k - 1, level, [counts])
+    return out if c.knot.positive else replace(out, rot_q=-out.rot_q)
 
 
 class RangeKind(Enum):
@@ -223,11 +233,7 @@ class RangeKind(Enum):
         return self.value
 
 
-_KIND_SWAP = {
-    RangeKind.V: RangeKind.V,
-    RangeKind.BACK_SLASH: RangeKind.FORWARD_SLASH,
-    RangeKind.FORWARD_SLASH: RangeKind.BACK_SLASH,
-}
+_KIND_SWAP = {RangeKind.BACK_SLASH: RangeKind.FORWARD_SLASH, RangeKind.FORWARD_SLASH: RangeKind.BACK_SLASH}
 
 
 @dataclass(frozen=True)
@@ -248,81 +254,80 @@ class RangeMember:
         return self.cls.class_id
 
 
-@dataclass(frozen=True)
-class StabEdge:
+class StabEdge(NamedTuple):
     source: str
     sign: Sign
     target: Optional[str]  # None encodes a loose result
 
 
+# an arm's stabilization sign, then the other sign, by arm label
+_ARM_SIGNS = {"+": (Sign.PLUS, Sign.MINUS), "-": (Sign.MINUS, Sign.PLUS)}
+
+
 @dataclass(frozen=True)
 class MountainRange:
+    """A base class and its certified stabilization arms.
+
+    The members fix the stabilization edges: the base's two stabilizations
+    are loose, listed (+, -) for a positively oriented knot and (-, +) for
+    a negative one; arm member i stabilizes with its arm's sign to member
+    i - 1 of that arm (the base for i = 1), and with the other sign to a
+    loose class.
+    """
+
     kind: RangeKind
     base_rot: Fraction
     base_tb: Fraction
     euler: int
     members: tuple[RangeMember, ...]
-    edges: tuple[StabEdge, ...]
 
     @property
     def base(self) -> tuple[Fraction, Fraction]:
         return (self.base_rot, self.base_tb)
 
+    @property
+    def edges(self) -> tuple[StabEdge, ...]:
+        base = self.members[0]
+        first, second = _ARM_SIGNS["+" if base.cls.knot.positive else "-"]
+        edges = [StabEdge(base.member_id, first, None), StabEdge(base.member_id, second, None)]
+        below = dict.fromkeys("+-", base.member_id)  # last member id on each arm
+        for m in self.members[1:]:
+            sign, other = _ARM_SIGNS[m.arm]
+            edges += (StabEdge(m.member_id, sign, below[m.arm]), StabEdge(m.member_id, other, None))
+            below[m.arm] = m.member_id
+        return tuple(edges)
+
 
 def _assemble_range(
-    base: NonLooseClass,
-    arms: dict[Sign, list[NonLooseClass]],
-    k_max: int,
-    problems: list[str],
+    classes: tuple, rots: tuple, k: int, i: int, arms: dict[Sign, list[int]], k_max: int, problems: list[str]
 ) -> Optional[MountainRange]:
-    plus_arm = arms[Sign.PLUS]
-    minus_arm = arms[Sign.MINUS]
-    expected = k_max - base.k
-    for sign, arm in ((Sign.PLUS, plus_arm), (Sign.MINUS, minus_arm)):
+    # the base is classes[k][i] and arms[sign][n - 1] the index of its
+    # arm's n-th member on level k + n; rots holds each class's rot times
+    # p, and p*tb on level k is |num s_k|, so invariants compare as ints
+    base, rot = classes[k][i], rots[k][i]
+    p, tb = base.lens.p, abs(base.dividing_slope.num)
+    expected = k_max - k
+    for sign, arm in arms.items():
         if arm and len(arm) != expected:
-            problems.append(
-                f"{base.class_id}: {sign!s} arm stops at depth {len(arm)} < {expected}"
-            )
+            problems.append(f"{base.class_id}: {sign!s} arm stops at depth {len(arm)} < {expected}")
             return None
-    if plus_arm and minus_arm:
-        kind = RangeKind.V
-    elif plus_arm:
-        kind = RangeKind.FORWARD_SLASH
-    elif minus_arm:
-        kind = RangeKind.BACK_SLASH
-    else:
+    if not any(arms.values()):
         problems.append(f"{base.class_id}: base with no arms at k_max={k_max}")
         return None
+    kind = RangeKind.V if all(arms.values()) else RangeKind.FORWARD_SLASH if arms[Sign.PLUS] else RangeKind.BACK_SLASH
+    euler = base.euler % p
     members = [RangeMember(base, "base", 0)]
-    edges = [
-        StabEdge(base.class_id, Sign.PLUS, None),
-        StabEdge(base.class_id, Sign.MINUS, None),
-    ]
-    for sign, arm, label in ((Sign.PLUS, plus_arm, "+"), (Sign.MINUS, minus_arm, "-")):
-        below = base
-        for i, member in enumerate(arm, start=1):
-            want_rot = base.rot_q + (i if sign is Sign.PLUS else -i)
-            if member.tb_q != base.tb_q + i or member.rot_q != want_rot:
-                problems.append(
-                    f"{member.class_id}: invariants off the {label} arm pattern"
-                )
+    for step, arm, label in ((p, arms[Sign.PLUS], "+"), (-p, arms[Sign.MINUS], "-")):
+        for n, j in enumerate(arm, start=1):
+            member = classes[k + n][j]
+            if abs(member.dividing_slope.num) != tb + n * p or rots[k + n][j] != rot + n * step:
+                problems.append(f"{member.class_id}: invariants off the {label} arm pattern")
                 return None
-            if member.euler % base.lens.p != base.euler % base.lens.p:
+            if member.euler % p != euler:
                 problems.append(f"{member.class_id}: Euler class leaves the structure")
                 return None
-            members.append(RangeMember(member, label, i))
-            edges.append(StabEdge(member.class_id, sign, below.class_id))
-            other = Sign.MINUS if sign is Sign.PLUS else Sign.PLUS
-            edges.append(StabEdge(member.class_id, other, None))
-            below = member
-    return MountainRange(
-        kind,
-        base.rot_q,
-        base.tb_q,
-        base.euler,
-        tuple(members),
-        tuple(edges),
-    )
+            members.append(RangeMember(member, label, n))
+    return MountainRange(kind, base.rot_q, base.tb_q, base.euler, tuple(members))
 
 
 def _flip_orientation(mr: MountainRange) -> MountainRange:
@@ -331,19 +336,11 @@ def _flip_orientation(mr: MountainRange) -> MountainRange:
     The recorded complement data stays that of the positively-oriented
     representative at the opposite rotation number.
     """
+    knot, arm = replace(mr.members[0].cls.knot, positive=False), {"+": "-", "-": "+", "base": "base"}
     members = tuple(
-        RangeMember(
-            replace(m.cls, rot_q=-m.cls.rot_q, knot=replace(m.cls.knot, positive=False)),
-            {"+": "-", "-": "+", "base": "base"}[m.arm],
-            m.index,
-        )
-        for m in mr.members
+        RangeMember(replace(m.cls, rot_q=-m.cls.rot_q, knot=knot), arm[m.arm], m.index) for m in mr.members
     )
-    flip = {Sign.PLUS: Sign.MINUS, Sign.MINUS: Sign.PLUS}
-    edges = tuple(StabEdge(e.source, flip[e.sign], e.target) for e in mr.edges)
-    return MountainRange(
-        _KIND_SWAP[mr.kind], -mr.base_rot, mr.base_tb, mr.euler, members, edges
-    )
+    return MountainRange(_KIND_SWAP.get(mr.kind, mr.kind), -mr.base_rot, mr.base_tb, mr.euler, members)
 
 
 def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[MountainRange]:
@@ -352,62 +349,65 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
     Builds the stabilization graph over the classes with dividing slope
     s_k for k <= k_max and pattern-matches it into Vs and slashes.  Arms
     are verified member by member up to k_max; a pattern that cannot be
-    certified raises instead of guessing.
+    certified raises instead of guessing, with every problem found.
     """
     if k_max < 3:
         raise ClassificationError("k_max must be at least 3 to certify arm patterns")
     base_knot = replace(knot, positive=True)
-    levels = [classes_at_slope(lens, base_knot, k) for k in range(k_max + 1)]
-    # (key of a stabilization result, sign) -> the classes stabilizing to it
-    preds: dict[tuple, list[NonLooseClass]] = {}
-    bases = list(levels[0])
+    # per level k: its classes, their rots times p, its signed block sizes
+    classes, rots, sizes = zip(*(_level_classes(lens, base_knot, k) for k in range(k_max + 1)))
+    # preds[k][(minus counts on level k, sign)]: indices of the level k + 1 classes stabilizing there
+    preds: list[dict[tuple, list[int]]] = [{} for _ in range(k_max)]
+    bases = [(0, i) for i in range(len(classes[0]))]
     problems: list[str] = []
-    sizes = [_level_sizes(level[0].complement.path) for level in levels]
     for k in range(1, k_max + 1):
-        for c in levels[k]:
+        up = preds[k - 1]
+        for i, c in enumerate(classes[k]):
             tight = 0
             for sign in (Sign.PLUS, Sign.MINUS):
                 counts = _stabilized_counts(c.complement.minus_counts, sign, sizes[k], sizes[k - 1])
                 if counts is not None:
-                    preds.setdefault(((k - 1, counts), sign), []).append(c)
+                    up.setdefault((counts, sign), []).append(i)
                     tight += 1
             if tight == 2:
                 problems.append(f"{c.class_id}: two tight stabilizations")
             elif tight == 0:
-                bases.append(c)
-    ranges: list[MountainRange] = []
-    claimed: set[tuple] = set()
-    for base in bases:
-        if base.k > 1:
-            problems.append(
-                f"{base.class_id}: unexpected base above the first two slopes"
-            )
+                bases.append((k, i))
+    # (base tb times p, base rot times p, range)
+    ranges: list[tuple[int, int, MountainRange]] = []
+    claimed: set[tuple[int, int]] = set()
+    for k, i in bases:
+        base = classes[k][i]
+        if k > 1:
+            problems.append(f"{base.class_id}: unexpected base above the first two slopes")
             continue
-        arms: dict[Sign, list[NonLooseClass]] = {Sign.PLUS: [], Sign.MINUS: []}
-        for sign in (Sign.PLUS, Sign.MINUS):
-            cur = base
-            for _ in range(base.k + 1, k_max + 1):
-                sources = preds.get((cur.key, sign), [])
+        arms: dict[Sign, list[int]] = {Sign.PLUS: [], Sign.MINUS: []}
+        for sign, arm in arms.items():
+            counts = base.complement.minus_counts
+            for j in range(k, k_max):
+                sources = preds[j].get((counts, sign), [])
                 if not sources:
                     break
                 if len(sources) > 1:
                     problems.append(f"{base.class_id}: branching {sign!s} arm")
                     break
-                cur = sources[0]
-                arms[sign].append(cur)
-        mr = _assemble_range(base, arms, k_max, problems)
+                arm.append(sources[0])
+                counts = classes[j + 1][sources[0]].complement.minus_counts
+        mr = _assemble_range(classes, rots, k, i, arms, k_max, problems)
         if mr is not None:
-            ranges.append(mr)
-            claimed.update(m.cls.key for m in mr.members)
-    unclaimed = sum(map(len, levels)) - len(claimed)
+            ranges.append((abs(base.dividing_slope.num), rots[k][i], mr))
+            claimed.add((k, i))
+            for arm in arms.values():
+                claimed.update(enumerate(arm, start=k + 1))
+    unclaimed = sum(map(len, classes)) - len(claimed)
     if unclaimed:
         problems.append(f"{unclaimed} classes outside every certified range")
     if problems:
-        raise ClassificationError("; ".join(sorted(problems)))
+        raise ClassificationError(*sorted(problems))
     if not knot.positive:
-        ranges = [_flip_orientation(mr) for mr in ranges]
-    ranges.sort(key=lambda mr: (mr.base_tb, mr.base_rot, mr.kind.value))
-    return ranges
+        ranges = [(tb, -rot, _flip_orientation(mr)) for tb, rot, mr in ranges]
+    ranges.sort(key=lambda r: (r[0], r[1], r[2].kind.value))
+    return [mr for _, _, mr in ranges]
 
 
 @dataclass(frozen=True)
@@ -460,16 +460,12 @@ def range_counts(lens: LensSpace, knot: KnotId = K0) -> RangeCounts:
 def measured_counts(ranges: list[MountainRange], lens: LensSpace) -> RangeCounts:
     """Tally a classification result into the closed-form count format."""
     tb_low = min(mr.base_tb for mr in ranges)
-    v_low = sum(
-        1 for mr in ranges if mr.kind is RangeKind.V and mr.base_tb == tb_low
-    )
+    v_low = sum(1 for mr in ranges if mr.kind is RangeKind.V and mr.base_tb == tb_low)
     back = sum(1 for mr in ranges if mr.kind is RangeKind.BACK_SLASH)
     forward = sum(1 for mr in ranges if mr.kind is RangeKind.FORWARD_SLASH)
     if back != forward:
         raise ClassificationError("slash kinds out of balance")
-    v_high = sum(
-        1 for mr in ranges if mr.kind is RangeKind.V and mr.base_tb == tb_low + 1
-    )
+    v_high = sum(1 for mr in ranges if mr.kind is RangeKind.V and mr.base_tb == tb_low + 1)
     return RangeCounts(v_low, back, v_high)
 
 

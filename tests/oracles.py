@@ -11,6 +11,7 @@ versions of primitives it now computes in closed form, as references.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from functools import cache
 from math import gcd
 
@@ -24,7 +25,7 @@ from nonloose.farey import (
     farey_sum,
     has_edge,
 )
-from nonloose.unknots import NonLooseClass, slope_k
+from nonloose.unknots import NonLooseClass, RangeKind, RangeMember, slope_k
 
 
 def intersection_count(x: Slope, y: Slope) -> int:
@@ -299,6 +300,67 @@ def _stabilization_geometry(c: NonLooseClass) -> ShorteningGeometry:
     geometry = ShorteningGeometry(v, False, True)
     _last_geometry[:] = [(path, geometry)]
     return geometry
+
+
+def assemble_range_by_fractions(
+    base: NonLooseClass,
+    arms: dict[Sign, list[NonLooseClass]],
+    k_max: int,
+    problems: list[str],
+    positive: bool = True,
+):
+    """Mountain range of a base and its arms of positively oriented
+    classes, checked on Fraction invariants, with every stabilization edge
+    built member by member and, for a negative knot, rebuilt with flipped
+    signs.  Returns (kind, (base rot, base tb), euler, members, edges), the
+    edges as (source id, sign, target id or None) triples, or None after
+    appending a problem."""
+    plus_arm, minus_arm = arms[Sign.PLUS], arms[Sign.MINUS]
+    expected = k_max - base.k
+    for sign, arm in ((Sign.PLUS, plus_arm), (Sign.MINUS, minus_arm)):
+        if arm and len(arm) != expected:
+            problems.append(f"{base.class_id}: {sign!s} arm stops at depth {len(arm)} < {expected}")
+            return None
+    if plus_arm and minus_arm:
+        kind = RangeKind.V
+    elif plus_arm:
+        kind = RangeKind.FORWARD_SLASH
+    elif minus_arm:
+        kind = RangeKind.BACK_SLASH
+    else:
+        problems.append(f"{base.class_id}: base with no arms at k_max={k_max}")
+        return None
+    members = [RangeMember(base, "base", 0)]
+    edges = [(base.class_id, Sign.PLUS, None), (base.class_id, Sign.MINUS, None)]
+    for sign, arm, label in ((Sign.PLUS, plus_arm, "+"), (Sign.MINUS, minus_arm, "-")):
+        below = base
+        for i, member in enumerate(arm, start=1):
+            want_rot = base.rot_q + (i if sign is Sign.PLUS else -i)
+            if member.tb_q != base.tb_q + i or member.rot_q != want_rot:
+                problems.append(f"{member.class_id}: invariants off the {label} arm pattern")
+                return None
+            if member.euler % base.lens.p != base.euler % base.lens.p:
+                problems.append(f"{member.class_id}: Euler class leaves the structure")
+                return None
+            members.append(RangeMember(member, label, i))
+            edges.append((member.class_id, sign, below.class_id))
+            other = Sign.MINUS if sign is Sign.PLUS else Sign.PLUS
+            edges.append((member.class_id, other, None))
+            below = member
+    if positive:
+        return kind, (base.rot_q, base.tb_q), base.euler, tuple(members), tuple(edges)
+    flip = {Sign.PLUS: Sign.MINUS, Sign.MINUS: Sign.PLUS}
+    members = [
+        RangeMember(
+            replace(m.cls, rot_q=-m.cls.rot_q, knot=replace(m.cls.knot, positive=False)),
+            {"+": "-", "-": "+", "base": "base"}[m.arm],
+            m.index,
+        )
+        for m in members
+    ]
+    kind = {RangeKind.BACK_SLASH: RangeKind.FORWARD_SLASH, RangeKind.FORWARD_SLASH: RangeKind.BACK_SLASH}.get(kind, kind)
+    edges = [(source, flip[sign], target) for source, sign, target in edges]
+    return kind, (-base.rot_q, base.tb_q), base.euler, tuple(members), tuple(edges)
 
 
 # --- concrete decorated-path machinery, independent of the package's ---

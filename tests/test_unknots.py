@@ -455,3 +455,167 @@ def test_stabilization_rule_matches_concrete_search():
 def test_classify_long_inputs(p, q, k_max):
     lens = LensSpace(p, q)
     assert measured_counts(classify(lens, K0, k_max), lens) == range_counts(lens, K0)
+
+
+def test_classification_output_is_pinned():
+    # one SHA-256 over the rendered payloads, recorded before mountain-range
+    # assembly moved to integer checks and derived edges; negative knots are
+    # in, because the order of a base's two loose edges follows orientation
+    import hashlib
+    import json
+
+    from nonloose.render import classification_dict
+
+    cases = [
+        (LensSpace(p, q), KnotId(core, positive), 4)
+        for p in range(2, 14)
+        for q in range(1, p)
+        if gcd(p, q) == 1
+        for core in ("K0", "K1")
+        for positive in (True, False)
+    ] + [(LensSpace(5, 2), KnotId("K1", False), 60)]
+    payloads = [
+        classification_dict(lens, knot, k_max, classify(lens, knot, k_max))
+        for lens, knot, k_max in cases
+    ]
+    text = json.dumps(payloads, sort_keys=True)
+    assert len(cases) == 229
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6c6effda802e4a9f9e943f55e51c290f604079ebc6e952a46ae66212059f6361"
+    )
+
+
+def test_stabilize_follows_stored_edges_on_every_oriented_core():
+    checked = 0
+    for p in range(2, 14):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            lens = LensSpace(p, q)
+            for knot in (K0, KnotId("K0", False), K1, KnotId("K1", False)):
+                for mr in classify(lens, knot, 4):
+                    by_id = {m.member_id: m.cls for m in mr.members}
+                    for e in mr.edges:
+                        got = stabilize(by_id[e.source], e.sign)
+                        where = (str(lens), str(knot), e.source, e.sign)
+                        if e.target is None:
+                            assert got is None, where
+                        else:
+                            want = by_id[e.target]
+                            assert got is not None, where
+                            assert (got.class_id, got.tb_q, got.rot_q) == (
+                                want.class_id, want.tb_q, want.rot_q
+                            ), where
+                        checked += 1
+    assert checked > 0
+
+
+def test_classification_error_lists_problems(monkeypatch):
+    from nonloose import unknots
+
+    # with every stabilization loose, each class is a base without arms
+    monkeypatch.setattr(unknots, "_stabilized_counts", lambda *args: None)
+    with pytest.raises(ClassificationError) as info:
+        classify(LensSpace(2, 1), K0, 3)
+    upper = ("s2[0,0]", "s2[0,1]", "s2[1,0]", "s2[1,1]", "s3[0,0]", "s3[0,1]", "s3[1,0]", "s3[1,1]")
+    want = (
+        ("12 classes outside every certified range",)
+        + tuple(f"{i}: base with no arms at k_max=3" for i in ("s0[0]", "s1[0]", "s1[1]", "s1[2]"))
+        + tuple(f"{i}: unexpected base above the first two slopes" for i in upper)
+    )
+    assert info.value.problems == want
+    assert str(info.value) == "; ".join(want)
+    single = ClassificationError("k_max must be at least 3 to certify arm patterns")
+    assert single.problems == (str(single),)
+    with pytest.raises(ClassificationError) as info:
+        classify(LensSpace(3, 1), K0, 2)
+    assert info.value.problems == ("k_max must be at least 3 to certify arm patterns",)
+
+
+def _compare_with_fraction_assembly(lens, core, k_max):
+    # feed each classified range's base and arms to the Fraction-based
+    # assembly and compare both orientations with classify's ranges
+    from oracles import assemble_range_by_fractions
+
+    ranges = classify(lens, KnotId(core), k_max)
+    flipped = {mr.members[0].member_id: mr for mr in classify(lens, KnotId(core, False), k_max)}
+    assert len(flipped) == len(ranges)
+    for mr in ranges:
+        base = mr.members[0].cls
+        arms = {
+            sign: [m.cls for m in mr.members if m.arm == label]
+            for sign, label in ((Sign.PLUS, "+"), (Sign.MINUS, "-"))
+        }
+        for positive, got in ((True, mr), (False, flipped[base.class_id])):
+            problems = []
+            want = assemble_range_by_fractions(base, arms, k_max, problems, positive)
+            edges = tuple((e.source, e.sign, e.target) for e in got.edges)
+            assert not problems and want is not None, problems
+            assert (got.kind, got.base, got.euler, got.members, edges) == want, (
+                str(lens), core, k_max, positive, base.class_id
+            )
+    return len(ranges)
+
+
+def test_range_assembly_matches_fraction_oracle():
+    checked = 0
+    for p in range(2, 31):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                for core in ("K0", "K1"):
+                    for k_max in (3, 5):
+                        checked += _compare_with_fraction_assembly(LensSpace(p, q), core, k_max)
+    checked += _compare_with_fraction_assembly(LensSpace(5, 2), "K0", 200)
+    checked += _compare_with_fraction_assembly(LensSpace(5, 2), "K1", 200)
+    assert checked > 0
+
+
+def test_range_assembly_problems_match_fraction_oracle():
+    # corrupt one arm member or cut one arm, and expect the integer checks
+    # to report exactly what the Fraction-based assembly reports
+    from oracles import assemble_range_by_fractions
+
+    from nonloose.unknots import _assemble_range, _level_classes
+
+    lens, k_max = LensSpace(5, 2), 4
+    classes, rots, _ = zip(*(_level_classes(lens, K0, k) for k in range(k_max + 1)))
+
+    def tb_up(c):
+        num = c.dividing_slope.num
+        return replace(c, dividing_slope=Slope(num - 1 if num < 0 else num + 1), tb_q=c.tb_q + Fraction(1, 5))
+
+    corruptions = (
+        (lambda c: replace(c, rot_q=c.rot_q + Fraction(1, 5)), 1),
+        (tb_up, 0),
+        (lambda c: replace(c, euler=c.euler + 1), 0),
+    )
+    checked, seen = 0, set()
+    for mr in classify(lens, K0, k_max):
+        base = mr.members[0].cls
+        k, i = base.k, classes[base.k].index(base)
+        arms = {
+            sign: [classes[m.cls.k].index(m.cls) for m in mr.members if m.arm == label]
+            for sign, label in ((Sign.PLUS, "+"), (Sign.MINUS, "-"))
+        }
+        cases = [(classes, rots, arms), (classes, rots, {Sign.PLUS: [], Sign.MINUS: []})]
+        for sign, arm in arms.items():
+            if arm:
+                cases.append((classes, rots, {**arms, sign: arm[:-1]}))
+            for n, j in enumerate(arm, start=1):
+                for change, rot_shift in corruptions:
+                    bad_classes, bad_rots = [list(cs) for cs in classes], [list(rs) for rs in rots]
+                    bad_classes[k + n][j] = change(classes[k + n][j])
+                    bad_rots[k + n][j] += rot_shift
+                    cases.append((bad_classes, bad_rots, arms))
+        for cs, rs, arm_ids in cases:
+            got_problems, want_problems = [], []
+            got = _assemble_range(cs, rs, k, i, arm_ids, k_max, got_problems)
+            arm_classes = {s: [cs[k + n][j] for n, j in enumerate(a, start=1)] for s, a in arm_ids.items()}
+            want = assemble_range_by_fractions(cs[k][i], arm_classes, k_max, want_problems)
+            assert got_problems == want_problems
+            assert (got is None) == (want is None) == bool(want_problems)
+            checked += bool(want_problems)
+            seen.update(want_problems)
+    assert checked == 97
+    for phrase in ("arm stops at depth", "base with no arms", "invariants off", "Euler class leaves"):
+        assert any(phrase in message for message in seen), phrase

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .farey import INFINITY, FareyError, Slope, dot
+from .farey import INFINITY, FareyError, Slope
 
 
 @dataclass(frozen=True)
@@ -167,20 +167,29 @@ def minimal_path(r: Slope, s: Slope) -> FareyPath:
     return FareyPath(_minimal_vertices(r, s))
 
 
-def _block_ranges(vertices: tuple[Slope, ...]) -> tuple[tuple[int, ...], ...]:
-    edges = len(vertices) - 1
-    blocks: list[list[int]] = [[0]]
-    for e in range(1, edges):
-        # consecutive edges share a continued fraction block exactly when
-        # the outer vertices of the triple pair to determinant +-2
-        if abs(dot(vertices[e - 1], vertices[e + 1])) == 2:
-            blocks[-1].append(e)
+def _block_lengths(vertices: tuple[Slope, ...]) -> list[int]:
+    # edges per maximal continued fraction block, in order: two edges share
+    # a block exactly when the outer vertices of their triple pair to +-2
+    lengths, n = [], 1
+    for a, c in zip(vertices, vertices[2:]):
+        if a.num * c.den - a.den * c.num in (2, -2):
+            n += 1
         else:
-            blocks.append([e])
-    return tuple(tuple(b) for b in blocks)
+            lengths.append(n)
+            n = 1
+    lengths.append(n)
+    return lengths
+
+
+def _edge_ranges(lengths: list[int] | tuple[int, ...]):
+    # the edge indices of each block, from the block lengths
+    start = 0
+    for n in lengths:
+        yield range(start, start + n)
+        start += n
 
 
 def block_structure(path: FareyPath) -> tuple[tuple[int, ...], ...]:
     """Partition of a path's edge indices into maximal continued
     fraction blocks."""
-    return _block_ranges(path.vertices)
+    return tuple(map(tuple, _edge_ranges(_block_lengths(path.vertices))))

@@ -173,6 +173,8 @@ def _parse_decorated(text: str) -> DecoratedPath:
         vertices.append(Slope.parse(tok))
         if i < len(tokens) - 1:
             signs.append(sign)
+        elif sign is not Sign.UNSIGNED:
+            raise DecorationError("the last vertex ends the path and carries no sign")
     return DecoratedPath(FareyPath(tuple(vertices)), tuple(signs))
 
 

@@ -18,18 +18,19 @@ is_tight call; nothing is memoized across calls.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import accumulate, product
-from typing import Optional, Union
+from itertools import product
+from operator import itemgetter
+from typing import Collection, Optional, Union
 
-from .cfrac import FareyPath, _block_ranges, _minimal_vertices
+from .cfrac import FareyPath, _block_lengths, _edge_ranges, _minimal_vertices
 from .farey import (
     ZERO,
     SignedVector,
     Slope,
     cross,
+    dot,
     farey_diff,
     has_edge,
 )
@@ -180,12 +181,16 @@ def _context_data(c: Context) -> tuple[tuple[Slope, ...], frozenset]:
     raise DecorationError(f"unknown context {c!r}")
 
 
-def _signed_sizes(
-    vertices: tuple[Slope, ...], unsigned: frozenset
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    blocks = _block_ranges(vertices)
-    sizes = tuple(sum(1 for e in blk if e not in unsigned) for blk in blocks)
-    return blocks, sizes
+def _signed_sizes(vertices: tuple[Slope, ...], unsigned: Collection[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # edges and signed edges per continued fraction block; unsigned edges are
+    # terminal, so an unsigned edge 0 leaves the first block, any other the last
+    lengths = _block_lengths(vertices)
+    sizes = lengths[:]
+    if 0 in unsigned:
+        sizes[0] -= 1
+    if max(unsigned, default=0) > 0:
+        sizes[-1] -= 1
+    return tuple(lengths), tuple(sizes)
 
 
 class ShorteningGeometry(dict):
@@ -193,14 +198,13 @@ class ShorteningGeometry(dict):
 
     Every path the search meets is the base path less some vertices (a
     bitmask of removed positions), and its unsigned edges stay terminal.
-    A mask's moves are worked out from integer coordinates on first lookup
-    and kept until the object is dropped.
+    A mask's moves are read off the block lengths and signed sizes of its
+    path on first lookup and kept until the object is dropped.
     """
 
     def __init__(self, vertices: tuple[Slope, ...], first_unsigned: bool, last_unsigned: bool):
         self.vertices = vertices
         self.target = _minimal_vertices(vertices[0], vertices[-1])
-        self._num, self._den = [v.num for v in vertices], [v.den for v in vertices]
         self._unsigned = first_unsigned, last_unsigned
 
     def __missing__(self, mask: int) -> Optional[tuple]:
@@ -208,39 +212,28 @@ class ShorteningGeometry(dict):
         # (child mask, left block bl, signed sizes of blocks bl and bl + 1,
         # each merged edge signed?, its block keeps other edges?, the merged
         # edge joins each neighbor block?)
-        bits = format(mask, f"0{len(self._num)}b")[::-1]
-        surv = [i for i, bit in enumerate(bits) if bit == "0"]
-        edges = len(surv) - 1
+        kept = [i for i in range(len(self.vertices)) if not mask >> i & 1]
+        path = itemgetter(*kept)(self.vertices)  # the endpoints always stay
+        edges = len(path) - 1
         if edges == len(self.target) - 1:
-            assert tuple(self.vertices[i] for i in surv) == self.target
+            assert path == self.target
             self[mask] = None
             return None
-        num, den = self._num, self._den
-
-        def pair(a: int, b: int) -> int:
-            return abs(num[surv[a]] * den[surv[b]] - den[surv[a]] * num[surv[b]])
-
-        # |dot| of the neighbors of each interior vertex: 2 keeps its edges
-        # in one continued fraction block, 1 makes the vertex removable
-        outer = [0] + [pair(j - 1, j + 1) for j in range(1, edges)]
-        block_of = list(accumulate((d != 2 for d in outer[1:]), initial=0))
-        lengths = list(Counter(block_of).values())  # block_of never decreases
         first_u, last_u = self._unsigned
-        sizes = lengths[:]
-        sizes[0] -= first_u
-        sizes[-1] -= last_u
+        lengths, sizes = _signed_sizes(path, (0,) * first_u + (edges - 1,) * last_u)
         moves = []
-        for j in range(1, edges):
-            if outer[j] == 1:
-                # the merged edges end their blocks: the left one ends block
-                # bl, the right one starts block bl + 1
-                bl = block_of[j - 1]
+        j = 0
+        for bl in range(len(lengths) - 1):
+            # vertex j ends block bl (inside a block the outer |dot| is 2); if its
+            # neighbors pair to 1 it goes, merging bl's last edge with bl + 1's first
+            j += lengths[bl]
+            if abs(dot(path[j - 1], path[j + 1])) == 1:
                 moves.append((
-                    mask | 1 << surv[j], bl, sizes[bl], sizes[bl + 1],
+                    mask | 1 << kept[j], bl, sizes[bl], sizes[bl + 1],
                     int(not (j == 1 and first_u)), int(not (j == edges - 1 and last_u)),
                     lengths[bl] > 1, lengths[bl + 1] > 1,
-                    j >= 2 and pair(j - 2, j + 1) == 2,
-                    j + 2 <= edges and pair(j - 1, j + 2) == 2,
+                    j >= 2 and abs(dot(path[j - 2], path[j + 1])) == 2,
+                    j + 2 <= edges and abs(dot(path[j - 1], path[j + 2])) == 2,
                 ))
         self[mask] = moves = tuple(moves)
         return moves
@@ -294,9 +287,8 @@ def shorten_to_minimal(geometry: ShorteningGeometry, counts: tuple[int, ...]) ->
 
 
 def _minus_counts(d: DecoratedPath) -> tuple[int, ...]:
-    return tuple(
-        sum(1 for e in blk if d.signs[e] is Sign.MINUS) for blk in _block_ranges(d.vertices)
-    )
+    lengths, _ = _signed_sizes(d.vertices, ())
+    return tuple(sum(d.signs[e] is Sign.MINUS for e in r) for r in _edge_ranges(lengths))
 
 
 def canonicalize(d: DecoratedPath) -> ShuffleClass:
@@ -391,10 +383,7 @@ def count_tight(c: Context) -> int:
     """
     vertices, unsigned = _context_data(c)
     _, sizes = _signed_sizes(vertices, unsigned)
-    total = 1
-    for s in sizes:
-        total *= s + 1
-    return total
+    return math.prod(s + 1 for s in sizes)
 
 
 def _shuffle_counts(sizes: tuple[int, ...]):
@@ -436,13 +425,13 @@ def euler_on_disk(d: DecoratedPath, meridian: Slope) -> int:
 
 
 def _block_pairings(
-    vertices: tuple[Slope, ...], blocks: tuple, sizes: tuple[int, ...], meridian: Slope
+    vertices: tuple[Slope, ...], lengths: tuple[int, ...], sizes: tuple[int, ...], meridian: Slope
 ) -> tuple[tuple[int, int], ...]:
     # (pairing of the block's edge class with the meridian, signed size)
-    # per block, from the blocks and sizes _signed_sizes gives
+    # per block, from the lengths and sizes _signed_sizes gives
     out = []
-    for blk, size in zip(blocks, sizes):
-        diffs = {farey_diff(vertices[e + 1], vertices[e]) for e in blk}
+    for edges, size in zip(_edge_ranges(lengths), sizes):
+        diffs = {farey_diff(vertices[e + 1], vertices[e]) for e in edges}
         if len(diffs) != 1:
             raise DecorationError("block crosses an infinity representative change")
         out.append((cross(diffs.pop(), meridian), size))
@@ -460,5 +449,5 @@ def shuffle_euler_on_disk(sc: ShuffleClass, meridian: Slope) -> int:
     the same endpoint difference, so only the per-block sign totals
     matter.
     """
-    blocks, sizes = _signed_sizes(sc.path, frozenset(sc.unsigned_positions))
-    return _paired_euler(_block_pairings(sc.path, blocks, sizes, meridian), sc.minus_counts)
+    lengths, sizes = _signed_sizes(sc.path, sc.unsigned_positions)
+    return _paired_euler(_block_pairings(sc.path, lengths, sizes, meridian), sc.minus_counts)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class FareyError(ValueError):
@@ -52,11 +51,6 @@ class Slope:
     @property
     def is_infinite(self) -> bool:
         return self.den == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.is_infinite:
-            raise FareyError("infinity has no finite value")
-        return Fraction(self.num, self.den)
 
     @classmethod
     def parse(cls, text: str) -> "Slope":

@@ -40,13 +40,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from .cfrac import _minimal_vertices, ancestor, expand
+from .cfrac import ancestor, expand
 from .decorated import (
     ClassificationError,
     LensSpace,
     ShuffleClass,
     Sign,
+    UpperSolidTorus,
     _block_pairings,
+    _context_data,
     _paired_euler,
     _shuffle_counts,
     _signed_sizes,
@@ -69,7 +71,7 @@ class KnotId:
     def parse(cls, text: str) -> "KnotId":
         text = text.strip()
         positive = not text.startswith("-")
-        return cls(text.lstrip("-"), positive)
+        return cls(text if positive else text[1:], positive)
 
     def __str__(self) -> str:
         return ("" if self.positive else "-") + self.core
@@ -143,18 +145,18 @@ def _euler_rep(x: int, p: int) -> int:
 
 
 def _level(lens: LensSpace, knot: KnotId, k: int) -> tuple:
-    # the complement path s_k -> 0 (last edge unsigned) with its signed
-    # block sizes and Euler pairings, from one pass over its blocks
-    path = _minimal_vertices(slope_k(lens, knot, k), ZERO)
-    blocks, sizes = _signed_sizes(path, frozenset({len(path) - 2}))
-    return path, sizes, _block_pairings(path, blocks, sizes, ZERO)
+    # the complement of the k-th neighborhood as a solid torus context: its
+    # path s_k -> 0, unsigned edges, signed block sizes and Euler pairings
+    path, unsigned = _context_data(UpperSolidTorus(ZERO, slope_k(lens, knot, k)))
+    lengths, sizes = _signed_sizes(path, unsigned)
+    return path, tuple(unsigned), sizes, _block_pairings(path, lengths, sizes, ZERO)
 
 
 def _classes_from_shuffles(lens: LensSpace, knot: KnotId, k: int, level: tuple, all_counts: Iterable) -> tuple:
     # the classes with these minus counts on a _level's complement path, and
     # each one's rot times p; tb times p is |num s_k| on the whole level
-    path, _, pairings = level
-    p, pos = lens.p, (len(path) - 2,)
+    path, pos, _, pairings = level
+    p = lens.p
     tb_q = Fraction(abs(path[0].num), p)
     classes, rots = [], []
     for counts in all_counts:
@@ -168,7 +170,7 @@ def _classes_from_shuffles(lens: LensSpace, knot: KnotId, k: int, level: tuple, 
 def _level_classes(lens: LensSpace, knot: KnotId, k: int) -> tuple:
     # every class of level k, their rots times p and the level's signed sizes
     level = _level(lens, knot, k)
-    return (*_classes_from_shuffles(lens, knot, k, level, _shuffle_counts(level[1])), level[1])
+    return (*_classes_from_shuffles(lens, knot, k, level, _shuffle_counts(level[2])), level[2])
 
 
 def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClass]:
@@ -182,8 +184,8 @@ def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClas
 
 
 def _level_sizes(path: tuple[Slope, ...]) -> tuple[int, ...]:
-    # signed block sizes of a complement path, whose last edge is unsigned
-    return _signed_sizes(path, frozenset({len(path) - 2}))[1]
+    # signed block sizes of a complement path s_k -> 0, last edge unsigned
+    return _signed_sizes(path, (len(path) - 2,))[1]
 
 
 def _stabilized_counts(
@@ -217,7 +219,7 @@ def stabilize(c: NonLooseClass, sign: Sign) -> Optional[NonLooseClass]:
     if not c.knot.positive:
         sign = Sign.MINUS if sign is Sign.PLUS else Sign.PLUS
     level = _level(c.lens, c.knot, c.k - 1)
-    counts = _stabilized_counts(c.complement.minus_counts, sign, _level_sizes(c.complement.path), level[1])
+    counts = _stabilized_counts(c.complement.minus_counts, sign, _level_sizes(c.complement.path), level[2])
     if counts is None:
         return None
     (out,), _ = _classes_from_shuffles(c.lens, c.knot, c.k - 1, level, [counts])

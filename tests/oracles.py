@@ -10,9 +10,10 @@ versions of primitives it now computes in closed form, as references.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from functools import cache
+from itertools import accumulate
 from math import gcd
 
 from nonloose.cfrac import ContinuedFraction, expand, value
@@ -300,6 +301,46 @@ def _stabilization_geometry(c: NonLooseClass) -> ShorteningGeometry:
     geometry = ShorteningGeometry(v, False, True)
     _last_geometry[:] = [(path, geometry)]
     return geometry
+
+
+def shortening_moves_by_outer_dots(
+    vertices: tuple[Slope, ...], first_unsigned: bool, last_unsigned: bool, mask: int
+):
+    """ShorteningGeometry's moves for one removal mask, from one pass over
+    the outer determinants of every vertex triple of the surviving path,
+    read off a bit string of the mask: None once that path is minimal."""
+    bits = format(mask, f"0{len(vertices)}b")[::-1]
+    surv = [i for i, bit in enumerate(bits) if bit == "0"]
+    edges = len(surv) - 1
+    target = minimal_vertices_by_bezout(vertices[0], vertices[-1])
+    if edges == len(target) - 1:
+        assert tuple(vertices[i] for i in surv) == target
+        return None
+    num, den = [v.num for v in vertices], [v.den for v in vertices]
+
+    def pair(a: int, b: int) -> int:
+        return abs(num[surv[a]] * den[surv[b]] - den[surv[a]] * num[surv[b]])
+
+    # |dot| of the neighbors of each interior vertex: 2 keeps its edges
+    # in one continued fraction block, 1 makes the vertex removable
+    outer = [0] + [pair(j - 1, j + 1) for j in range(1, edges)]
+    block_of = list(accumulate((d != 2 for d in outer[1:]), initial=0))
+    lengths = list(Counter(block_of).values())  # block_of never decreases
+    sizes = lengths[:]
+    sizes[0] -= first_unsigned
+    sizes[-1] -= last_unsigned
+    moves = []
+    for j in range(1, edges):
+        if outer[j] == 1:
+            bl = block_of[j - 1]
+            moves.append((
+                mask | 1 << surv[j], bl, sizes[bl], sizes[bl + 1],
+                int(not (j == 1 and first_unsigned)), int(not (j == edges - 1 and last_unsigned)),
+                lengths[bl] > 1, lengths[bl + 1] > 1,
+                j >= 2 and pair(j - 2, j + 1) == 2,
+                j + 2 <= edges and pair(j - 1, j + 2) == 2,
+            ))
+    return tuple(moves)
 
 
 def assemble_range_by_fractions(

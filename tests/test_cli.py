@@ -332,3 +332,12 @@ def test_help_goes_to_the_stdout_argument(monkeypatch):
         digest = pinned.get(" ".join(argv))
         if digest and sys.version_info[:2] == (3, 11):
             assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
+
+
+def test_path_check_rejects_a_sign_on_the_last_vertex():
+    # the last vertex starts no edge, so a sign written there has nothing
+    # to decorate
+    for signs in ("-3:+ -2:+ -1:-", "-3:+ -2:+ -1:+", "1/0:+ -1 0:-"):
+        code, out, err = invoke(["path", "check", "--context", "torus", "--signs", signs])
+        assert (code, out) == (1, "") and err.startswith("error: ") and "last vertex" in err
+    assert invoke(["path", "check", "--context", "torus", "--signs", "-3:+ -2:+ -1"]) == (0, "tight\n", "")

@@ -21,7 +21,7 @@ from nonloose.decorated import (
     shorten_once,
     shuffle_euler_on_disk,
 )
-from nonloose.farey import INFINITY, ZERO, SignedVector, Slope
+from nonloose.farey import INFINITY, ZERO, FareyError, SignedVector, Slope
 from oracles import count_by_orbits, tight_by_search
 
 P, M, U = Sign.PLUS, Sign.MINUS, Sign.UNSIGNED
@@ -398,3 +398,56 @@ def test_count_tight_matches_orbit_enumeration(rng):
             unsigned = frozenset({0})
         assert count_tight(ctx) == count_by_orbits(verts, unsigned), (r, s, kind)
         checked += 1
+
+
+def test_shortening_moves_and_blocks_match_oracles():
+    from nonloose.cfrac import _minimal_vertices, block_structure
+    from nonloose.decorated import ShorteningGeometry, _context_data, _signed_sizes, shorten_to_minimal
+    from oracles import blocks_of, bounded_slopes, shortening_moves_by_outer_dots
+
+    # the move table of every mask the search reaches, with every allowed
+    # unsigned pattern, on non-minimal paths: extensions of minimal paths,
+    # which can only lose their second vertex; concatenations r -> m -> s
+    # of two minimal paths, which lose interior vertices and exercise every
+    # keep and join flag; prefixes of the chain infinity, -1000, ..., -1, 0.
+    # With no minus signs every merge is consistent, so the search reaches
+    # every mask that some sequence of removals reaches
+    pool = bounded_slopes(5)
+    bases = {minimal_path(r, s).vertices for r in pool for s in pool if r != s}
+    paths = {v for base in bases for v in _extensions(base, pool)}
+    pool = bounded_slopes(3)
+    for r, m, s in product(pool, repeat=3):
+        if len({r, m, s}) == 3:
+            try:
+                paths.add(FareyPath(_minimal_vertices(r, m) + _minimal_vertices(m, s)[1:]).vertices)
+            except FareyError:
+                pass  # the two paths do not join into one clockwise path
+    paths = [v for v in paths if v != _minimal_vertices(v[0], v[-1])]
+    chain = (INFINITY,) + tuple(integer_run(-1000, 0))
+    paths += [chain[:n] for n in (3, 4, 12, 101, len(chain))]
+    masks = 0
+    for verts in paths:
+        for unsigned in ((False, False), (True, False), (False, True)):
+            geometry = ShorteningGeometry(verts, *unsigned)
+            assert shorten_to_minimal(geometry, (0,) * len(blocks_of(verts)))
+            for mask, moves in geometry.items():
+                assert moves == shortening_moves_by_outer_dots(verts, *unsigned, mask), (verts, unsigned, mask)
+            masks += len(geometry)
+    assert len(paths) > 2500 and masks > 25_000
+
+    # blocks and signed sizes of every minimal path, with each pattern of
+    # unsigned terminal edges, and of L(1,1), whose one edge is unsigned twice
+    pool = bounded_slopes(12)
+    cases = [(r, s) for r in pool for s in pool if r != s]
+    for r, s in cases:
+        verts = _minimal_vertices(r, s)
+        blocks = blocks_of(verts)
+        assert block_structure(FareyPath(verts)) == tuple(map(tuple, blocks)), (r, s)
+        last = len(verts) - 2
+        for unsigned in ((), (0,), (last,), (0, last)):
+            lengths, sizes = _signed_sizes(verts, unsigned)
+            assert lengths == tuple(map(len, blocks)), (r, s)
+            assert sizes == tuple(sum(e not in unsigned for e in b) for b in blocks), (r, s, unsigned)
+    verts, unsigned = _context_data(Lens(1, 1))
+    assert blocks_of(verts) == [[0]] and _signed_sizes(verts, unsigned) == ((1,), (0,))
+    assert count_tight(Lens(1, 1)) == 1

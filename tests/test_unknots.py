@@ -619,3 +619,11 @@ def test_range_assembly_problems_match_fraction_oracle():
     assert checked == 97
     for phrase in ("arm stops at depth", "base with no arms", "invariants off", "Euler class leaves"):
         assert any(phrase in message for message in seen), phrase
+
+
+def test_knot_parse_takes_at_most_one_dash():
+    assert KnotId.parse("K0") == K0
+    assert KnotId.parse(" -K1 ") == KnotId("K1", False)
+    for text in ("--K0", "---K1", "- K0", "-", ""):
+        with pytest.raises(ClassificationError):
+            KnotId.parse(text)

@@ -2,17 +2,13 @@
 
 A decorated path encodes a contact structure on a thickened torus, a
 solid torus, or a lens space as a clockwise Farey path whose edges carry
-basic-slice signs.  Tightness is decided by searching for a sequence of
-consistent shortenings (sign-matched vertex removals, with shuffling of
-signs inside continued fraction blocks allowed between steps) that
-reaches the minimal path; structures are counted and enumerated up to
-shuffle equivalence.
-
-The search works on shuffle classes directly - a path together with the
-number of minus signs carried by each continued fraction block - rather
-than on concrete sign tuples, so paths with long blocks stay tractable.
-Its visited set and its move table, a ShorteningGeometry, live for one
-is_tight call; nothing is memoized across calls.
+basic-slice signs.  Tightness is decided by one walk of consistent
+shortenings (sign-matched vertex removals): each step merges the two
+edges at the first removable vertex, and the walk ends at the minimal
+path, or at a vertex whose edges carry opposite signs, where the
+structure is overtwisted.  Structures are counted and enumerated up to
+shuffle equivalence, as per-block minus counts.  The walk keeps only
+its current path; nothing is memoized across calls.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import product
-from operator import itemgetter
 from typing import Collection, Optional, Union
 
 from .cfrac import FareyPath, _block_lengths, _edge_ranges, _minimal_vertices
@@ -30,7 +25,6 @@ from .farey import (
     SignedVector,
     Slope,
     cross,
-    dot,
     farey_diff,
     has_edge,
 )
@@ -73,6 +67,8 @@ class DecoratedPath:
         edges = len(self.path)
         if len(self.signs) != edges:
             raise DecorationError("need exactly one sign per edge")
+        if not all(isinstance(s, Sign) for s in self.signs):
+            raise DecorationError("every sign must be a Sign member")
         unsigned = [i for i, s in enumerate(self.signs) if s is Sign.UNSIGNED]
         if len(unsigned) > 1:
             raise DecorationError("at most one edge may be unsigned")
@@ -193,99 +189,6 @@ def _signed_sizes(vertices: tuple[Slope, ...], unsigned: Collection[int]) -> tup
     return tuple(lengths), tuple(sizes)
 
 
-class ShorteningGeometry(dict):
-    """Moves of a shortening search from one base path, by removal mask.
-
-    Every path the search meets is the base path less some vertices (a
-    bitmask of removed positions), and its unsigned edges stay terminal.
-    A mask's moves are read off the block lengths and signed sizes of its
-    path on first lookup and kept until the object is dropped.
-    """
-
-    def __init__(self, vertices: tuple[Slope, ...], first_unsigned: bool, last_unsigned: bool):
-        self.vertices = vertices
-        self.target = _minimal_vertices(vertices[0], vertices[-1])
-        self._unsigned = first_unsigned, last_unsigned
-
-    def __missing__(self, mask: int) -> Optional[tuple]:
-        # None once the path is minimal, else one move per removable vertex:
-        # (child mask, left block bl, signed sizes of blocks bl and bl + 1,
-        # each merged edge signed?, its block keeps other edges?, the merged
-        # edge joins each neighbor block?)
-        kept = [i for i in range(len(self.vertices)) if not mask >> i & 1]
-        path = itemgetter(*kept)(self.vertices)  # the endpoints always stay
-        edges = len(path) - 1
-        if edges == len(self.target) - 1:
-            assert path == self.target
-            self[mask] = None
-            return None
-        first_u, last_u = self._unsigned
-        lengths, sizes = _signed_sizes(path, (0,) * first_u + (edges - 1,) * last_u)
-        moves = []
-        j = 0
-        for bl in range(len(lengths) - 1):
-            # vertex j ends block bl (inside a block the outer |dot| is 2); if its
-            # neighbors pair to 1 it goes, merging bl's last edge with bl + 1's first
-            j += lengths[bl]
-            if abs(dot(path[j - 1], path[j + 1])) == 1:
-                moves.append((
-                    mask | 1 << kept[j], bl, sizes[bl], sizes[bl + 1],
-                    int(not (j == 1 and first_u)), int(not (j == edges - 1 and last_u)),
-                    lengths[bl] > 1, lengths[bl + 1] > 1,
-                    j >= 2 and abs(dot(path[j - 2], path[j + 1])) == 2,
-                    j + 2 <= edges and abs(dot(path[j - 1], path[j + 2])) == 2,
-                ))
-        self[mask] = moves = tuple(moves)
-        return moves
-
-
-def _regroup(counts, bl, left_n, right_n, merged, keep_l, keep_r, join_l, join_r):
-    # minus counts of the shortened path, from the surviving counts of the
-    # two merged blocks and the merged edge's own count
-    left = counts[:bl] + (left_n,) if keep_l else counts[:bl]
-    right = (right_n,) + counts[bl + 2 :] if keep_r else counts[bl + 2 :]
-    assert keep_l or left_n == 0
-    assert keep_r or right_n == 0
-    if join_l:
-        merged, left = merged + left[-1], left[:-1]
-    if join_r:
-        merged, right = merged + right[0], right[1:]
-    return left + (merged,) + right
-
-
-def shorten_to_minimal(geometry: ShorteningGeometry, counts: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Minus counts of every minimal-path shuffle class that consistent
-    shortenings reach from the geometry's base path with these counts.
-
-    Each step removes a vertex whose neighbors are adjacent, with the two
-    merged edges presenting a common sign (or one of them unsigned, which
-    absorbs the other).  Iterative depth-first search; the visited set
-    lives for this call only.
-    """
-    stack = [(0, counts)]
-    seen = set(stack)
-    finals: set[tuple[int, ...]] = set()
-    while stack:
-        mask, c = stack.pop()
-        moves = geometry[mask]
-        if moves is None:
-            finals.add(c)
-            continue
-        for child, bl, size_l, size_r, take_l, take_r, keep_l, keep_r, join_l, join_r in moves:
-            n_l, n_r = c[bl], c[bl + 1]
-            options = []
-            if size_l - n_l >= take_l and size_r - n_r >= take_r:
-                options.append((n_l, n_r, 0))
-            if (take_l or take_r) and n_l >= take_l and n_r >= take_r:
-                options.append((n_l - take_l, n_r - take_r, take_l & take_r))
-            for left_n, right_n, merged in options:
-                state = child, _regroup(c, bl, left_n, right_n, merged, keep_l, keep_r, join_l, join_r)
-                if state not in seen:
-                    seen.add(state)
-                    stack.append(state)
-    return finals
-
-
 def _minus_counts(d: DecoratedPath) -> tuple[int, ...]:
     lengths, _ = _signed_sizes(d.vertices, ())
     return tuple(sum(d.signs[e] is Sign.MINUS for e in r) for r in _edge_ranges(lengths))
@@ -338,6 +241,27 @@ def shorten_once(d: DecoratedPath, i: int) -> ShorteningResult:
     return ShorteningResult(DecoratedPath(new_path, new_signs), consistent)
 
 
+def shorten_to_minimal(d: DecoratedPath) -> Optional[DecoratedPath]:
+    """The minimal decorated path that consistent shortenings reach from d,
+    or None if they reach none.
+
+    Each step merges, with shorten_once, the two edges at the first vertex
+    whose neighbors share a Farey edge; a path with no such vertex is
+    minimal.  The walk stops at the first inconsistent merge: two signed
+    edges there with opposite signs make the structure overtwisted (see
+    is_tight), so no shuffle or other order of merges can get past it.
+    """
+    while True:
+        v = d.vertices
+        j = next((i for i in range(1, len(v) - 1) if has_edge(v[i - 1], v[i + 1])), None)
+        if j is None:
+            return d
+        step = shorten_once(d, j)
+        if not step.consistent:
+            return None
+        d = step.path
+
+
 def _check_against_context(d: DecoratedPath, c: Context) -> None:
     vertices = d.vertices
     unsigned = [i for i, s in enumerate(d.signs) if s is Sign.UNSIGNED]
@@ -366,13 +290,21 @@ def _check_against_context(d: DecoratedPath, c: Context) -> None:
 def is_tight(d: DecoratedPath, c: Context) -> bool:
     """Decide tightness of the structure a decorated path describes.
 
-    True exactly when some sequence of consistent shortenings, shuffling
-    within continued fraction blocks between steps, reaches the minimal
-    path for the given boundary data.
+    True exactly when shorten_to_minimal reaches the minimal path for the
+    given boundary data.  Any consistent shortening the walk takes gives
+    the same verdict: a consistent shortening glues two basic slices of
+    one sign into a basic slice of that sign, and a shuffle inside a
+    continued fraction block is an isotopy (K. Honda, On the
+    classification of tight contact structures I, Geom. Topol. 4 (2000)
+    309-368).  So neither move changes the contact structure, and neither
+    changes the verdict.  Where two signed edges meet at a removable
+    vertex, their basic slices make up a thickened torus whose boundary
+    slopes share a Farey edge, which is tight only as one basic slice:
+    opposite signs there make the structure overtwisted, in every
+    decoration of it.
     """
     _check_against_context(d, c)
-    unsigned = d.signs[0] is Sign.UNSIGNED, d.signs[-1] is Sign.UNSIGNED
-    return bool(shorten_to_minimal(ShorteningGeometry(d.vertices, *unsigned), _minus_counts(d)))
+    return shorten_to_minimal(d) is not None
 
 
 def count_tight(c: Context) -> int:

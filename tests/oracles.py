@@ -6,6 +6,10 @@ package's closed-form or search-based answers can be checked against an
 implementation that shares no code path with them.  The `*_by_*`
 functions and `check_path_by_arcs` keep the package's earlier step-by-step
 versions of primitives it now computes in closed form, as references.
+`ShorteningGeometry`, `_regroup` and `shorten_to_minimal(geometry, counts)`
+keep the package's earlier tightness decision: a search over removal masks
+and per-block minus counts that returns every minimal-path class it
+reaches, where the package now takes one walk of consistent shortenings.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ from dataclasses import replace
 from functools import cache
 from itertools import accumulate
 from math import gcd
+from operator import itemgetter
+from typing import Optional
 
-from nonloose.cfrac import ContinuedFraction, expand, value
-from nonloose.decorated import ShorteningGeometry, Sign, shorten_to_minimal
+from nonloose.cfrac import ContinuedFraction, _minimal_vertices, expand, value
+from nonloose.decorated import Sign, _signed_sizes
 from nonloose.farey import (
     INFINITY,
     FareyError,
@@ -272,6 +278,99 @@ def farthest_smaller_neighbor(s: Slope, height: int) -> Slope:
             best = w
     assert best is not None
     return best
+
+
+class ShorteningGeometry(dict):
+    """Moves of a shortening search from one base path, by removal mask.
+
+    Every path the search meets is the base path less some vertices (a
+    bitmask of removed positions), and its unsigned edges stay terminal.
+    A mask's moves are read off the block lengths and signed sizes of its
+    path on first lookup and kept until the object is dropped.
+    """
+
+    def __init__(self, vertices: tuple[Slope, ...], first_unsigned: bool, last_unsigned: bool):
+        self.vertices = vertices
+        self.target = _minimal_vertices(vertices[0], vertices[-1])
+        self._unsigned = first_unsigned, last_unsigned
+
+    def __missing__(self, mask: int) -> Optional[tuple]:
+        # None once the path is minimal, else one move per removable vertex:
+        # (child mask, left block bl, signed sizes of blocks bl and bl + 1,
+        # each merged edge signed?, its block keeps other edges?, the merged
+        # edge joins each neighbor block?)
+        kept = [i for i in range(len(self.vertices)) if not mask >> i & 1]
+        path = itemgetter(*kept)(self.vertices)  # the endpoints always stay
+        edges = len(path) - 1
+        if edges == len(self.target) - 1:
+            assert path == self.target
+            self[mask] = None
+            return None
+        first_u, last_u = self._unsigned
+        lengths, sizes = _signed_sizes(path, (0,) * first_u + (edges - 1,) * last_u)
+        moves = []
+        j = 0
+        for bl in range(len(lengths) - 1):
+            # vertex j ends block bl (inside a block the outer |dot| is 2); if its
+            # neighbors pair to 1 it goes, merging bl's last edge with bl + 1's first
+            j += lengths[bl]
+            if abs(dot(path[j - 1], path[j + 1])) == 1:
+                moves.append((
+                    mask | 1 << kept[j], bl, sizes[bl], sizes[bl + 1],
+                    int(not (j == 1 and first_u)), int(not (j == edges - 1 and last_u)),
+                    lengths[bl] > 1, lengths[bl + 1] > 1,
+                    j >= 2 and abs(dot(path[j - 2], path[j + 1])) == 2,
+                    j + 2 <= edges and abs(dot(path[j - 1], path[j + 2])) == 2,
+                ))
+        self[mask] = moves = tuple(moves)
+        return moves
+
+
+def _regroup(counts, bl, left_n, right_n, merged, keep_l, keep_r, join_l, join_r):
+    # minus counts of the shortened path, from the surviving counts of the
+    # two merged blocks and the merged edge's own count
+    left = counts[:bl] + (left_n,) if keep_l else counts[:bl]
+    right = (right_n,) + counts[bl + 2 :] if keep_r else counts[bl + 2 :]
+    assert keep_l or left_n == 0
+    assert keep_r or right_n == 0
+    if join_l:
+        merged, left = merged + left[-1], left[:-1]
+    if join_r:
+        merged, right = merged + right[0], right[1:]
+    return left + (merged,) + right
+
+
+def shorten_to_minimal(geometry: ShorteningGeometry, counts: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Minus counts of every minimal-path shuffle class that consistent
+    shortenings reach from the geometry's base path with these counts.
+
+    Each step removes a vertex whose neighbors are adjacent, with the two
+    merged edges presenting a common sign (or one of them unsigned, which
+    absorbs the other).  Iterative depth-first search; the visited set
+    lives for this call only.
+    """
+    stack = [(0, counts)]
+    seen = set(stack)
+    finals: set[tuple[int, ...]] = set()
+    while stack:
+        mask, c = stack.pop()
+        moves = geometry[mask]
+        if moves is None:
+            finals.add(c)
+            continue
+        for child, bl, size_l, size_r, take_l, take_r, keep_l, keep_r, join_l, join_r in moves:
+            n_l, n_r = c[bl], c[bl + 1]
+            options = []
+            if size_l - n_l >= take_l and size_r - n_r >= take_r:
+                options.append((n_l, n_r, 0))
+            if (take_l or take_r) and n_l >= take_l and n_r >= take_r:
+                options.append((n_l - take_l, n_r - take_r, take_l & take_r))
+            for left_n, right_n, merged in options:
+                state = child, _regroup(c, bl, left_n, right_n, merged, keep_l, keep_r, join_l, join_r)
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
+    return finals
 
 
 def stabilized_counts_by_search(c: NonLooseClass, sign: Sign) -> set[tuple[int, ...]]:

@@ -402,8 +402,8 @@ def test_count_tight_matches_orbit_enumeration(rng):
 
 def test_shortening_moves_and_blocks_match_oracles():
     from nonloose.cfrac import _minimal_vertices, block_structure
-    from nonloose.decorated import ShorteningGeometry, _context_data, _signed_sizes, shorten_to_minimal
-    from oracles import blocks_of, bounded_slopes, shortening_moves_by_outer_dots
+    from nonloose.decorated import _context_data, _signed_sizes
+    from oracles import ShorteningGeometry, blocks_of, bounded_slopes, shorten_to_minimal, shortening_moves_by_outer_dots
 
     # the move table of every mask the search reaches, with every allowed
     # unsigned pattern, on non-minimal paths: extensions of minimal paths,
@@ -451,3 +451,94 @@ def test_shortening_moves_and_blocks_match_oracles():
     verts, unsigned = _context_data(Lens(1, 1))
     assert blocks_of(verts) == [[0]] and _signed_sizes(verts, unsigned) == ((1,), (0,))
     assert count_tight(Lens(1, 1)) == 1
+
+
+def _decoration(verts, blocks, counts, unsigned, rng):
+    # one decoration of a shuffle class: in each block, minus signs on a
+    # random choice of that many signed edges and plus signs on the rest
+    signs = [U] * (len(verts) - 1)
+    for blk, minus in zip(blocks, counts):
+        signed = [e for e in blk if e not in unsigned]
+        for n, e in enumerate(rng.sample(signed, len(signed))):
+            signs[e] = M if n < minus else P
+    return DecoratedPath(FareyPath(verts), tuple(signs))
+
+
+def _walk_finals(d):
+    from nonloose.decorated import shorten_to_minimal
+
+    final = shorten_to_minimal(d)
+    return set() if final is None else {canonicalize(final).minus_counts}
+
+
+def test_walk_matches_search_oracle_on_every_shuffle_class(rng):
+    from math import gcd
+
+    from nonloose.cfrac import _minimal_vertices
+    from nonloose.unknots import K0, K1, LensSpace, classes_at_slope, slope_k
+    from oracles import ShorteningGeometry, blocks_of, bounded_slopes, shorten_to_minimal, stabilized_counts_by_search
+
+    # non-minimal paths: one-vertex extensions of the minimal paths over
+    # bounded_slopes(4), and concatenations r -> m -> s of two minimal paths
+    # over bounded_slopes(3) with at most six edges; every shuffle class of
+    # each, in each pattern of unsigned terminal edges, against the search's
+    # set of final classes
+    pool = bounded_slopes(4)
+    paths = {v for r in pool for s in pool if r != s for v in _extensions(_minimal_vertices(r, s), pool)}
+    pool = bounded_slopes(3)
+    for r, m, s in product(pool, repeat=3):
+        if len({r, m, s}) < 3:
+            continue
+        verts = _minimal_vertices(r, m) + _minimal_vertices(m, s)[1:]
+        try:
+            if len(verts) <= 7:
+                paths.add(FareyPath(verts).vertices)
+        except FareyError:
+            pass  # the two paths do not join into one clockwise path
+    paths = [v for v in paths if v != _minimal_vertices(v[0], v[-1])]
+    classes = tight = 0
+    for verts in paths:
+        blocks = blocks_of(verts)
+        for first_u, last_u in ((False, False), (True, False), (False, True)):
+            unsigned = {0} if first_u else {len(verts) - 2} if last_u else set()
+            geometry = ShorteningGeometry(verts, first_u, last_u)
+            sizes = [sum(e not in unsigned for e in blk) for blk in blocks]
+            for counts in product(*(range(n + 1) for n in sizes)):
+                finals = shorten_to_minimal(geometry, counts)
+                assert len(finals) <= 1, (verts, unsigned, counts)
+                assert _walk_finals(_decoration(verts, blocks, counts, unsigned, rng)) == finals, (verts, unsigned, counts)
+                classes += 1
+                tight += bool(finals)
+    assert len(paths) > 1000 and classes > 20_000 and 0 < tight < classes
+
+    # stabilization paths: s_{k-1}, carrying the stabilization sign, in
+    # front of each class's complement path s_k -> 0, whose last edge is
+    # unsigned
+    stabilizations = 0
+    for p in range(2, 13):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                lens = LensSpace(p, q)
+                for knot in (K0,) if lens.qbar == q else (K0, K1):
+                    for k in range(1, 5):
+                        below = slope_k(lens, knot, k - 1)
+                        for c in classes_at_slope(lens, knot, k):
+                            path = c.complement.path
+                            base = _decoration(path, blocks_of(path), c.complement.minus_counts, {len(path) - 2}, rng)
+                            for sign in (P, M):
+                                finals = stabilized_counts_by_search(c, sign)
+                                assert len(finals) <= 1, (str(lens), str(knot), c.class_id, sign)
+                                d = DecoratedPath(FareyPath((below,) + path), (sign,) + base.signs)
+                                assert _walk_finals(d) == finals, (str(lens), str(knot), c.class_id, sign)
+                                stabilizations += 1
+    assert stabilizations > 4000
+
+
+def test_signs_must_be_sign_members():
+    # ints and other values used to pass and gave silently wrong answers:
+    # (1, -1, -1) was tight where (P, M, M) is not, and -1 counted as a plus
+    path = FareyPath((INFINITY, Slope(-2), Slope(-1), ZERO))
+    for signs in ((1, -1, -1), (-1, -1, -1), (0, 0, P), (7, "x", P), (P, M, 1.0)):
+        with pytest.raises(DecorationError):
+            DecoratedPath(path, signs)
+    assert not is_tight(DecoratedPath(path, (P, M, M)), ThickenedTorus(INFINITY, ZERO))

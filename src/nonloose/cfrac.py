@@ -15,11 +15,12 @@ coordinates of the vertex before it; only the first needs an inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .farey import INFINITY, FareyError, Slope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContinuedFraction:
     """Coefficients [a_0, ..., a_n] of a negative continued fraction."""
 
@@ -28,14 +29,14 @@ class ContinuedFraction:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise FareyError("continued fraction needs at least one coefficient")
-        if any(a > -2 for a in self.coeffs):
+        if max(self.coeffs) > -2:
             raise FareyError("negative continued fraction coefficients must be <= -2")
 
     def __str__(self) -> str:
         return "[" + ",".join(str(a) for a in self.coeffs) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FareyPath:
     """A strictly clockwise edge-path in the Farey graph.
 
@@ -50,11 +51,12 @@ class FareyPath:
         v = self.vertices
         if len(v) < 2:
             raise FareyError("a path needs at least one edge")
-        if len(set(v)) != len(v):
-            raise FareyError("path vertices must be distinct")
         # dot(x, y) <= 0 iff x <= y in the order with infinity maximal, so
         # cw_between(a, x, last) is read off the signs of dot(a, x), dot(a,
-        # last) and dot(x, last); each vertex's dot with last is reused
+        # last) and dot(x, last).  A vertex passing both checks lies strictly
+        # clockwise of a inside the arc a -> last, so vertices repeat only
+        # through an early copy of last (a_last == 0).  That fails too, and
+        # a failure checks distinctness first, as the messages are ordered
         ln, ld = v[-1].num, v[-1].den
         a = v[0]
         an, ad = a.num, a.den
@@ -62,12 +64,17 @@ class FareyPath:
         for x in v[1:]:
             xn, xd = x.num, x.den
             ax = an * xd - ad * xn
-            if ax != 1 and ax != -1:
-                raise FareyError(f"{a} and {x} are not adjacent")
+            if a_last == 0 or (ax != 1 and ax != -1):
+                self._fail(f"{a} and {x} are not adjacent")
             x_last = xn * ld - xd * ln
             if (ax > 0 or x_last > 0) if a_last < 0 else (ax > 0 and x_last > 0):
-                raise FareyError("path is not traversed clockwise")
+                self._fail("path is not traversed clockwise")
             a, an, ad, a_last = x, xn, xd, x_last
+
+    def _fail(self, message: str) -> NoReturn:
+        if len(set(self.vertices)) != len(self.vertices):
+            raise FareyError("path vertices must be distinct")
+        raise FareyError(message)
 
     def __len__(self) -> int:
         return len(self.vertices) - 1

@@ -161,8 +161,7 @@ _PARSER: Optional[_Parser] = None
 
 
 def _parse_decorated(text: str) -> DecoratedPath:
-    vertices = []
-    signs = []
+    vertices, signs = [], []
     tokens = text.split()
     for i, tok in enumerate(tokens):
         sign = Sign.UNSIGNED
@@ -217,14 +216,8 @@ def _run_classify(args, out) -> None:
         payload = render.classification_dict(lens, knot, args.kmax, ranges)
         if cache_file is not None:
             _write_atomic(cache_file, json.dumps(payload, separators=(",", ":")))
-    if args.format == "json":
-        out.write(render.classification_json(payload))
-    elif args.format == "csv":
-        out.write(render.classification_csv(payload))
-    elif args.format == "svg":
-        out.write(render.classification_svg(payload))
-    else:
-        out.write(render.classification_table(payload))
+    formats = {"json": render.classification_json, "csv": render.classification_csv, "svg": render.classification_svg}
+    out.write(formats.get(args.format, render.classification_table)(payload))
 
 
 def _run_tight_count(args, out) -> None:
@@ -286,18 +279,13 @@ def _run_cable(args, out) -> None:
     else:
         fam = transnonsimple_family(args.n)
         if args.format == "json":
-            out.write(
-                json.dumps({"tb": fam.tb, "rot": fam.rot, "sl": fam.sl, "count": fam.count})
-                + "\n"
-            )
+            out.write(json.dumps({"tb": fam.tb, "rot": fam.rot, "sl": fam.sl, "count": fam.count}) + "\n")
         else:
             out.write(f"tb={fam.tb} rot={fam.rot} sl={fam.sl} count={fam.count}\n")
 
 
 def _run_exists(args, out) -> None:
-    summand = None
-    if args.summand_tight is not None:
-        summand = args.summand_tight == "yes"
+    summand = None if args.summand_tight is None else args.summand_tight == "yes"
     facts = TopologyFacts(
         intersects_essential_sphere_once=args.sphere_once,
         summand_admits_tight=summand,

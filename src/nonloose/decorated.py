@@ -155,12 +155,6 @@ class ShuffleClass:
     minus_counts: tuple[int, ...]
     unsigned_positions: tuple[int, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "path": [str(s) for s in self.path],
-            "minus": list(self.minus_counts),
-        }
-
 
 def _context_data(c: Context) -> tuple[tuple[Slope, ...], frozenset]:
     """Minimal path and unsigned edge set realizing a context."""
@@ -229,37 +223,44 @@ def shorten_once(d: DecoratedPath, i: int) -> ShorteningResult:
         raise DecorationError("only interior vertices can be removed")
     if not has_edge(vertices[i - 1], vertices[i + 1]):
         raise DecorationError("the neighbors of the removed vertex must be adjacent")
-    s_l, s_r = d.signs[i - 1], d.signs[i]
-    if Sign.UNSIGNED in (s_l, s_r):
-        merged, consistent = Sign.UNSIGNED, True
-    elif s_l == s_r:
-        merged, consistent = s_l, True
-    else:
-        merged, consistent = s_l, False
+    merged, consistent = _merge(d.signs[i - 1], d.signs[i])
     new_path = FareyPath(vertices[:i] + vertices[i + 1 :])
     new_signs = d.signs[: i - 1] + (merged,) + d.signs[i + 1 :]
     return ShorteningResult(DecoratedPath(new_path, new_signs), consistent)
+
+
+def _merge(s_l: Sign, s_r: Sign) -> tuple[Sign, bool]:
+    # the merged edge's sign and whether the merge is consistent
+    if Sign.UNSIGNED in (s_l, s_r):
+        return Sign.UNSIGNED, True
+    return s_l, s_l == s_r
 
 
 def shorten_to_minimal(d: DecoratedPath) -> Optional[DecoratedPath]:
     """The minimal decorated path that consistent shortenings reach from d,
     or None if they reach none.
 
-    Each step merges, with shorten_once, the two edges at the first vertex
-    whose neighbors share a Farey edge; a path with no such vertex is
-    minimal.  The walk stops at the first inconsistent merge: two signed
+    Each step merges, as shorten_once does, the two edges at the first
+    vertex whose neighbors share a Farey edge; a path with no such vertex
+    is minimal.  The walk stops at the first inconsistent merge: two signed
     edges there with opposite signs make the structure overtwisted (see
     is_tight), so no shuffle or other order of merges can get past it.
+    A merge at i changes the neighbors of vertices i - 1 and i + 1 only,
+    so the scan resumes at i - 1 rather than at the first vertex.
     """
-    while True:
-        v = d.vertices
-        j = next((i for i in range(1, len(v) - 1) if has_edge(v[i - 1], v[i + 1])), None)
-        if j is None:
-            return d
-        step = shorten_once(d, j)
-        if not step.consistent:
+    v, signs = list(d.vertices), list(d.signs)
+    i = 1
+    while i < len(v) - 1:
+        if not has_edge(v[i - 1], v[i + 1]):
+            i += 1
+            continue
+        merged, consistent = _merge(signs[i - 1], signs[i])
+        if not consistent:
             return None
-        d = step.path
+        del v[i]
+        signs[i - 1 : i + 1] = [merged]
+        i = max(1, i - 1)
+    return DecoratedPath(FareyPath(tuple(v)), tuple(signs))
 
 
 def _check_against_context(d: DecoratedPath, c: Context) -> None:

@@ -5,7 +5,9 @@ A slope is a point of Q u {infinity} stored as a coprime integer pair
 cyclic order used throughout the package visits 0, the positive rationals
 increasing, infinity, and then the negative rationals increasing back
 toward 0.  Every comparison is an exact integer cross-multiplication;
-no floating point is ever used.
+no floating point is ever used.  The value types are slotted frozen
+dataclasses: no per-instance dict, and a slope's hash is computed from
+its pair when asked for, never stored.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ class FareyError(ValueError):
     """A slope operation was applied outside its domain."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slope:
     """A point of the Farey circle, reduced to canonical form on creation.
 
     Canonical form: gcd(|num|, |den|) = 1 and den >= 0, with infinity
-    stored as (1, 0) regardless of the sign it was given.
+    stored as (1, 0) regardless of the sign it was given.  Slotted; the
+    hash is hash((num, den)), computed on each call.
     """
 
     num: int
@@ -31,22 +34,20 @@ class Slope:
 
     def __post_init__(self) -> None:
         num, den = self.num, self.den
+        g = math.gcd(num, den)
+        if g == 1 and den > 0:
+            return
         if den == 0:
             if num == 0:
                 raise FareyError("0/0 is not a slope")
             num = 1
         else:
-            g = math.gcd(num, den)
             num //= g
             den //= g
             if den < 0:
                 num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", hash((num, den)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def is_infinite(self) -> bool:
@@ -74,7 +75,7 @@ INFINITY = Slope(1, 0)
 ZERO = Slope(0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedVector:
     """An unreduced integer pair recording a curve class on the torus.
 

@@ -15,6 +15,10 @@ from .unknots import KnotId, LensSpace, MountainRange
 def classification_dict(
     lens: LensSpace, knot: KnotId, k_max: int, ranges: list[MountainRange]
 ) -> dict:
+    # one lens and knot: the classes of level k share a complement path,
+    # so each level's path is printed once
+    paths = {m.cls.k: m.cls.complement.path for mr in ranges for m in mr.members}
+    texts = {k: [str(s) for s in path] for k, path in paths.items()}
     return {
         "lens": {"p": lens.p, "q": lens.q},
         "knot": str(knot),
@@ -33,7 +37,7 @@ def classification_dict(
                         "tb": str(m.cls.tb_q),
                         "rot": str(m.cls.rot_q),
                         "slope": str(m.cls.dividing_slope),
-                        "complement": m.cls.complement.to_json_dict(),
+                        "complement": {"path": texts[m.cls.k], "minus": list(m.cls.complement.minus_counts)},
                     }
                     for m in mr.members
                 ],

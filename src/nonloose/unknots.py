@@ -34,6 +34,7 @@ tori (Geom. Topol. 4 (2000) 309-368).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -435,14 +436,10 @@ def _counts_from_cf(coeffs: tuple[int, ...]) -> RangeCounts:
     if n == 0:
         # integer surgery: one low V and |a_0 + 1| high Vs, no slashes
         return RangeCounts(1, 0, abs(coeffs[0] + 1))
-    v_high = 1
-    for a in coeffs:
-        v_high *= abs(a + 1)
+    v_high = math.prod(abs(a + 1) for a in coeffs)
     if n == 1:
         return RangeCounts(abs(coeffs[0] + 2), 1, v_high)
-    slashes = 1
-    for a in coeffs[:-2]:
-        slashes *= abs(a + 1)
+    slashes = math.prod(abs(a + 1) for a in coeffs[:-2])
     v_low = slashes * abs(coeffs[-2] + 2)
     return RangeCounts(v_low, slashes, v_high)
 
@@ -546,9 +543,7 @@ def admits_nonloose(f: TopologyFacts, flavor: Flavor) -> Existence:
     summand = _resolve_summand(f)
     if f.is_unknot_in_s3 and not summand:
         raise ClassificationError("S^3 admits a tight structure")
-    if f.intersects_essential_sphere_once:
-        return Existence.NONE
-    if not summand:
+    if f.intersects_essential_sphere_once or not summand:
         return Existence.NONE
     if flavor is Flavor.TRANSVERSE and f.is_rational_unknot:
         return Existence.NONE

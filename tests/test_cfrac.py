@@ -331,3 +331,13 @@ def test_path_validation_matches_arc_oracle():
         "path vertices must be distinct",
         "path is not traversed clockwise",
     }
+
+
+def test_repeat_of_last_vertex_is_not_distinct():
+    # each vertex passes the edge and arc checks, so only the distinctness
+    # check catches the early copy of the last vertex
+    for nums in ((-6, -5, -6), (-7, -6, -5, -6)):
+        vertices = tuple(Slope(n) for n in nums)
+        with pytest.raises(FareyError, match="path vertices must be distinct"):
+            FareyPath(vertices)
+        assert _validation_outcome(check_path_by_arcs, vertices) == "path vertices must be distinct"

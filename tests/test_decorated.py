@@ -542,3 +542,35 @@ def test_signs_must_be_sign_members():
         with pytest.raises(DecorationError):
             DecoratedPath(path, signs)
     assert not is_tight(DecoratedPath(path, (P, M, M)), ThickenedTorus(INFINITY, ZERO))
+
+
+def test_long_chain_walk_matches_short_chain():
+    # infinity, -n, ..., 0 shortens to its one edge infinity -> 0; for each
+    # sign pattern the 1002-vertex chain gets the verdict and final sign of
+    # the 7-vertex chain, whose verdict the exhaustive search confirms
+    from nonloose.decorated import shorten_to_minimal
+
+    patterns = [
+        lambda e: [P] * e,
+        lambda e: [M] * e,
+        lambda e: [M] + [P] * (e - 1),
+        lambda e: [P] * (e // 2) + [M] + [P] * (e - e // 2 - 1),
+        lambda e: [P] * (e - 1) + [M],
+        lambda e: [U] + [P, M] * ((e - 1) // 2) + [P] * ((e - 1) % 2),
+        lambda e: [M] * (e - 1) + [U],
+        lambda e: [P] + [M] * (e - 2) + [U],
+    ]
+    verdicts = []
+    for pattern in patterns:
+        finals = []
+        for n in (5, 1000):
+            verts = [INFINITY] + integer_run(-n, 0)
+            signs = pattern(len(verts) - 1)
+            assert len(signs) == len(verts) - 1
+            final = shorten_to_minimal(dpath(verts, signs))
+            finals.append(None if final is None else (final.vertices, final.signs))
+            if n == 5:
+                assert tight_by_search(tuple(verts), tuple(map(int, signs)), (INFINITY, ZERO)) == (final is not None)
+        assert finals[0] == finals[1], finals
+        verdicts.append(finals[0] is not None)
+    assert verdicts == [True, True, False, False, False, True, True, False]

@@ -1,3 +1,8 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,3 +173,57 @@ def test_cw_between_matches_order_oracle():
                 assert _arc_outcome(cw_between, a, x, b) == want, (a, x, b)
                 outcomes.add(want)
     assert outcomes == {True, False, "clockwise arc needs distinct endpoints"}
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+@settings(max_examples=500)
+def test_canonical_form_matches_fraction(num, den):
+    if (num, den) == (0, 0):
+        with pytest.raises(FareyError):
+            Slope(num, den)
+        return
+    s = Slope(num, den)
+    if den == 0:
+        assert (s.num, s.den) == (1, 0) and s == INFINITY and s.is_infinite
+    else:
+        f = Fraction(num, den)
+        assert (s.num, s.den) == (f.numerator, f.denominator)
+    assert Slope(s.num, s.den) == s
+
+
+def test_slope_is_a_slotted_value():
+    s = Slope(-6, 4)
+    assert hash(s) == hash((s.num, s.den)) == hash((-3, 2))
+    assert hash(INFINITY) == hash((1, 0)) and hash(Slope(-5, 0)) == hash(INFINITY)
+    assert s != (-3, 2) and not (s == (-3, 2))
+    with pytest.raises(FrozenInstanceError):
+        s.num = 3
+    assert not hasattr(s, "__dict__")
+    assert not hasattr(SignedVector(1, 2), "__dict__")
+    for t in (s, INFINITY, ZERO):
+        for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert clone == t and hash(clone) == hash(t) and (clone.num, clone.den) == (t.num, t.den)
+    v = SignedVector(2, -4)
+    assert pickle.loads(pickle.dumps(v)) == v == copy.deepcopy(v)
+
+
+def test_construction_and_hash_run_class_hooks(monkeypatch):
+    # a traced benchmark process counts slopes by replacing the class's
+    # __post_init__ and __hash__; both must run once per construction and
+    # once per hash
+    counts = {"post_init": 0, "hash": 0}
+    post_init, slope_hash = Slope.__post_init__, Slope.__hash__
+
+    def counted_post_init(s):
+        counts["post_init"] += 1
+        post_init(s)
+
+    def counted_hash(s):
+        counts["hash"] += 1
+        return slope_hash(s)
+
+    monkeypatch.setattr(Slope, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Slope, "__hash__", counted_hash)
+    slopes = [Slope(2, 4), Slope(-3), Slope(7, 0)]
+    assert [hash(s) for s in slopes] == [hash((1, 2)), hash((-3, 1)), hash((1, 0))]
+    assert counts == {"post_init": 3, "hash": 3}

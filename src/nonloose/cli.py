@@ -32,7 +32,6 @@ from .cfrac import FareyPath, expand, minimal_path
 from .decorated import (
     DecoratedPath,
     DecorationError,
-    Lens,
     LowerSolidTorus,
     Sign,
     ThickenedTorus,
@@ -76,7 +75,13 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
 
 
+def _line(value):
+    # a leaf handler printing value(args) on one line
+    return lambda args, out: out.write(f"{value(args)}\n")
+
+
 def _build_parser() -> _Parser:
+    # every leaf parser binds its handler as args.run
     top = _Parser(prog="nonloose", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -87,37 +92,45 @@ def _build_parser() -> _Parser:
     cl.add_argument("--kmax", type=int, default=5)
     cl.add_argument("--format", default=None, choices=FORMATS)
     cl.add_argument("--cache-dir", default=None)
+    cl.set_defaults(run=_run_classify)
 
     tc = sub.add_parser("tight-count", help="count tight contact structures")
     tsub = tc.add_subparsers(dest="space", required=True)
     t_lens = tsub.add_parser("lens")
     t_lens.add_argument("p", type=int)
     t_lens.add_argument("q", type=int)
+    t_lens.set_defaults(run=_line(lambda a: count_tight(LensSpace(a.p, a.q))))
     t_torus = tsub.add_parser("torus")
     t_torus.add_argument("s0")
     t_torus.add_argument("s1")
+    t_torus.set_defaults(run=_line(lambda a: count_tight(ThickenedTorus(Slope.parse(a.s0), Slope.parse(a.s1)))))
     t_solid = tsub.add_parser("solid")
     t_solid.add_argument("side", choices=["upper", "lower"])
     t_solid.add_argument("meridian")
     t_solid.add_argument("boundary")
+    t_solid.set_defaults(run=_line(_count_solid_torus))
 
     fa = sub.add_parser("farey", help="Farey-circle utilities")
     fsub = fa.add_subparsers(dest="op", required=True)
-    for name in ("sum", "dot", "edge"):
+    for name, op in (("sum", farey_sum), ("dot", dot), ("edge", lambda x, y: str(has_edge(x, y)).lower())):
         p = fsub.add_parser(name)
         p.add_argument("x")
         p.add_argument("y")
+        p.set_defaults(run=_line(lambda a, op=op: op(Slope.parse(a.x), Slope.parse(a.y))))
     f_path = fsub.add_parser("path")
     f_path.add_argument("start")
     f_path.add_argument("end")
+    f_path.set_defaults(run=_line(_farey_path))
     f_cf = fsub.add_parser("cf")
     f_cf.add_argument("slope")
+    f_cf.set_defaults(run=_line(lambda a: expand(Slope.parse(a.slope))))
 
     pa = sub.add_parser("path", help="decorated path queries")
     psub = pa.add_subparsers(dest="op", required=True)
     p_check = psub.add_parser("check")
     p_check.add_argument("--context", required=True, choices=["torus", "upper", "lower"])
     p_check.add_argument("--signs", required=True, help='e.g. "-8/3:- -5/2:+ -2:- -1"')
+    p_check.set_defaults(run=_run_path_check)
 
     ca = sub.add_parser("cable", help="cable invariant calculators")
     csub = ca.add_subparsers(dest="op", required=True)
@@ -125,24 +138,31 @@ def _build_parser() -> _Parser:
     c_tb.add_argument("p", type=int)
     c_tb.add_argument("q", type=int)
     c_tb.add_argument("--dividing", default=None, help="dividing slope q'/p'")
+    c_tb.set_defaults(run=_line(_cable_tb))
     c_rot = csub.add_parser("rot")
     c_rot.add_argument("p", type=int)
     c_rot.add_argument("q", type=int)
     c_rot.add_argument("r_disk", type=int)
     c_rot.add_argument("r_seifert", type=int)
+    c_rot.set_defaults(run=_line(lambda a: cable_rot(CableSpec(a.p, a.q), a.r_disk, a.r_seifert)))
     c_pos = csub.add_parser("positive")
     c_pos.add_argument("p", type=int)
     c_pos.add_argument("q", type=int)
     c_pos.add_argument("tb", type=int)
     c_pos.add_argument("rot", type=int)
     c_pos.add_argument("--format", default=None, choices=["table", "json"])
+    c_pos.set_defaults(run=_run_positive_cable)
     c_neg = csub.add_parser("negative")
     c_neg.add_argument("p", type=int)
     c_neg.add_argument("q", type=int)
     c_neg.add_argument("tb", type=int)
+    c_neg.set_defaults(
+        run=_line(lambda a: f"tb={negative_cable_tb(LegendrianInvariants(a.tb, 0), CableSpec(a.p, a.q))}")
+    )
     c_fam = csub.add_parser("family")
     c_fam.add_argument("n", type=int)
     c_fam.add_argument("--format", default=None, choices=["table", "json"])
+    c_fam.set_defaults(run=_run_cable_family)
 
     ex = sub.add_parser("exists", help="non-loose existence oracle")
     ex.add_argument("--flavor", required=True, choices=["legendrian", "transverse"])
@@ -152,6 +172,7 @@ def _build_parser() -> _Parser:
     ex.add_argument("--in-ball", action="store_true")
     ex.add_argument("--ambient", default=None)
     ex.add_argument("--summand-tight", default=None, choices=["yes", "no"])
+    ex.set_defaults(run=_run_exists)
     return top
 
 
@@ -190,6 +211,7 @@ def _read_cached(path: Path, request: dict) -> Optional[dict]:
 
 def _write_atomic(path: Path, text: str) -> None:
     # readers see the old file or the whole new one, never a partial write
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".classify-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
@@ -203,46 +225,32 @@ def _write_atomic(path: Path, text: str) -> None:
 def _run_classify(args, out) -> None:
     lens = LensSpace(args.p, args.q)
     knot = KnotId.parse(args.knot)
-    payload = None
-    cache_file = None
+    payload = cache_file = None
     if args.cache_dir:
-        cache_dir = Path(args.cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_file = cache_dir / f"classify-v{CACHE_SCHEMA}-{args.p}-{args.q}-{knot}-{args.kmax}.json"
+        # the directory is made on the first write; until then a read misses
+        cache_file = Path(args.cache_dir) / f"classify-v{CACHE_SCHEMA}-{args.p}-{args.q}-{knot}-{args.kmax}.json"
         request = {"lens": {"p": lens.p, "q": lens.q}, "knot": str(knot), "k_max": args.kmax}
         payload = _read_cached(cache_file, request)
     if payload is None:
         ranges = classify(lens, knot, args.kmax)
         payload = render.classification_dict(lens, knot, args.kmax, ranges)
         if cache_file is not None:
-            _write_atomic(cache_file, json.dumps(payload, separators=(",", ":")))
+            try:
+                _write_atomic(cache_file, json.dumps(payload, separators=(",", ":")))
+            except OSError as exc:
+                raise ValueError(f"cannot use cache dir {args.cache_dir}: {exc.strerror or exc}") from None
     formats = {"json": render.classification_json, "csv": render.classification_csv, "svg": render.classification_svg}
     out.write(formats.get(args.format, render.classification_table)(payload))
 
 
-def _run_tight_count(args, out) -> None:
-    if args.space == "lens":
-        ctx = Lens(args.p, args.q)
-    elif args.space == "torus":
-        ctx = ThickenedTorus(Slope.parse(args.s0), Slope.parse(args.s1))
-    else:
-        kind = UpperSolidTorus if args.side == "upper" else LowerSolidTorus
-        ctx = kind(Slope.parse(args.meridian), Slope.parse(args.boundary))
-    out.write(f"{count_tight(ctx)}\n")
+def _count_solid_torus(args) -> int:
+    kind = UpperSolidTorus if args.side == "upper" else LowerSolidTorus
+    return count_tight(kind(Slope.parse(args.meridian), Slope.parse(args.boundary)))
 
 
-def _run_farey(args, out) -> None:
-    if args.op == "sum":
-        out.write(f"{farey_sum(Slope.parse(args.x), Slope.parse(args.y))}\n")
-    elif args.op == "dot":
-        out.write(f"{dot(Slope.parse(args.x), Slope.parse(args.y))}\n")
-    elif args.op == "edge":
-        out.write(f"{str(has_edge(Slope.parse(args.x), Slope.parse(args.y))).lower()}\n")
-    elif args.op == "path":
-        path = minimal_path(Slope.parse(args.start), Slope.parse(args.end))
-        out.write(json.dumps([str(v) for v in path.vertices]) + "\n")
-    else:
-        out.write(f"{expand(Slope.parse(args.slope))}\n")
+def _farey_path(args) -> str:
+    path = minimal_path(Slope.parse(args.start), Slope.parse(args.end))
+    return json.dumps([str(v) for v in path.vertices])
 
 
 def _run_path_check(args, out) -> None:
@@ -257,31 +265,26 @@ def _run_path_check(args, out) -> None:
     out.write("tight\n" if is_tight(d, ctx) else "overtwisted\n")
 
 
-def _run_cable(args, out) -> None:
-    if args.op == "tb":
-        spec = CableSpec(args.p, args.q)
-        if args.dividing is None:
-            out.write(f"{divide_cable_tb(spec)}\n")
-        else:
-            out.write(f"{ruling_cable_tb(spec, Slope.parse(args.dividing))}\n")
-    elif args.op == "rot":
-        out.write(f"{cable_rot(CableSpec(args.p, args.q), args.r_disk, args.r_seifert)}\n")
-    elif args.op == "positive":
-        inv = positive_cable(LegendrianInvariants(args.tb, args.rot), CableSpec(args.p, args.q))
-        sl = self_linking(inv)
-        if args.format == "json":
-            out.write(json.dumps({"tb": inv.tb, "rot": inv.rot, "sl": sl}) + "\n")
-        else:
-            out.write(f"tb={inv.tb} rot={inv.rot} sl={sl}\n")
-    elif args.op == "negative":
-        tb = negative_cable_tb(LegendrianInvariants(args.tb, 0), CableSpec(args.p, args.q))
-        out.write(f"tb={tb}\n")
+def _cable_tb(args) -> int:
+    spec = CableSpec(args.p, args.q)
+    return divide_cable_tb(spec) if args.dividing is None else ruling_cable_tb(spec, Slope.parse(args.dividing))
+
+
+def _run_positive_cable(args, out) -> None:
+    inv = positive_cable(LegendrianInvariants(args.tb, args.rot), CableSpec(args.p, args.q))
+    sl = self_linking(inv)
+    if args.format == "json":
+        out.write(json.dumps({"tb": inv.tb, "rot": inv.rot, "sl": sl}) + "\n")
     else:
-        fam = transnonsimple_family(args.n)
-        if args.format == "json":
-            out.write(json.dumps({"tb": fam.tb, "rot": fam.rot, "sl": fam.sl, "count": fam.count}) + "\n")
-        else:
-            out.write(f"tb={fam.tb} rot={fam.rot} sl={fam.sl} count={fam.count}\n")
+        out.write(f"tb={inv.tb} rot={inv.rot} sl={sl}\n")
+
+
+def _run_cable_family(args, out) -> None:
+    fam = transnonsimple_family(args.n)
+    if args.format == "json":
+        out.write(json.dumps({"tb": fam.tb, "rot": fam.rot, "sl": fam.sl, "count": fam.count}) + "\n")
+    else:
+        out.write(f"tb={fam.tb} rot={fam.rot} sl={fam.sl} count={fam.count}\n")
 
 
 def _run_exists(args, out) -> None:
@@ -294,8 +297,7 @@ def _run_exists(args, out) -> None:
         contained_in_ball=args.in_ball,
         ambient=args.ambient,
     )
-    flavor = Flavor.LEGENDRIAN if args.flavor == "legendrian" else Flavor.TRANSVERSE
-    out.write(f"{admits_nonloose(facts, flavor)}\n")
+    out.write(f"{admits_nonloose(facts, Flavor(args.flavor))}\n")
 
 
 def _attach_knot_values(argv: list[str]) -> list[str]:
@@ -325,18 +327,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         default_format = os.environ.get("NONLOOSE_FORMAT", "table")
         args.format = default_format if default_format in FORMATS else "table"
     try:
-        if args.command == "classify":
-            _run_classify(args, out)
-        elif args.command == "tight-count":
-            _run_tight_count(args, out)
-        elif args.command == "farey":
-            _run_farey(args, out)
-        elif args.command == "path":
-            _run_path_check(args, out)
-        elif args.command == "cable":
-            _run_cable(args, out)
-        else:
-            _run_exists(args, out)
+        args.run(args, out)
     except (FareyError, DecorationError, ClassificationError, CableError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return 1

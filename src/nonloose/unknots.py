@@ -14,6 +14,9 @@ at (a, b) is a V when both arms (a + i, b + i) and (a - i, b + i) are
 present, a forward slash when only the ascending arm is, and a back
 slash when only the descending arm is.  The second core K1 is classified
 through the lens space L(p, qbar) whose Heegaard tori are swapped.
+A class of a negative knot keeps the positive representative's complement
+and Euler class with rot negated, and each stabilization sign acts on that
+complement as the opposite sign (_COMPLEMENT_SIGN).
 
 Stabilization is a closed-form rule on the first two continued fraction
 blocks.  It puts the basic slice s_{k-1} -> s_k, with the stabilization
@@ -35,7 +38,7 @@ tori (Geom. Topol. 4 (2000) 309-368).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -157,14 +160,15 @@ def _classes_from_shuffles(lens: LensSpace, knot: KnotId, k: int, level: tuple, 
     # the classes with these minus counts on a _level's complement path, and
     # each one's rot times p; tb times p is |num s_k| on the whole level
     path, pos, _, pairings = level
-    p = lens.p
+    p, orient = lens.p, 1 if knot.positive else -1
     tb_q = Fraction(abs(path[0].num), p)
     classes, rots = [], []
     for counts in all_counts:
         e_disk = _paired_euler(pairings, counts)
+        rot = orient * e_disk
         sc = ShuffleClass(path, counts, pos)
-        classes.append(NonLooseClass(lens, knot, path[0], sc, tb_q, Fraction(e_disk, p), _euler_rep(-e_disk, p), k))
-        rots.append(e_disk)
+        classes.append(NonLooseClass(lens, knot, path[0], sc, tb_q, Fraction(rot, p), _euler_rep(-e_disk, p), k))
+        rots.append(rot)
     return classes, rots
 
 
@@ -179,7 +183,8 @@ def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClas
 
     One class per tight structure on the complementary solid torus with
     meridian 0 and boundary slope s_k, carrying exact tb, rot, and the
-    Euler class of the ambient structure.
+    Euler class of the ambient structure.  A negative knot's classes are
+    the positive representative's with rot negated, as in classify.
     """
     return _level_classes(lens, knot, k)[0]
 
@@ -187,6 +192,14 @@ def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClas
 def _level_sizes(path: tuple[Slope, ...]) -> tuple[int, ...]:
     # signed block sizes of a complement path s_k -> 0, last edge unsigned
     return _signed_sizes(path, (len(path) - 2,))[1]
+
+
+# by knot orientation, the sign each knot stabilization puts on the positive
+# representative's complement, listed in that representative's arm order
+_COMPLEMENT_SIGN = {
+    True: {Sign.PLUS: Sign.PLUS, Sign.MINUS: Sign.MINUS},
+    False: {Sign.MINUS: Sign.PLUS, Sign.PLUS: Sign.MINUS},
+}
 
 
 def _stabilized_counts(
@@ -211,20 +224,19 @@ def stabilize(c: NonLooseClass, sign: Sign) -> Optional[NonLooseClass]:
     edge by edge, so the class survives exactly when every signed edge of
     that block carries the sign; only the first two blocks change (the
     module docstring has the argument).  A negative knot's class carries
-    the positive representative's complement, so the sign is flipped.
+    the positive representative's complement, which the opposite sign
+    stabilizes; either way tb drops by one and rot moves by -sign.
     """
     if sign not in (Sign.PLUS, Sign.MINUS):
         raise ClassificationError("stabilization sign must be PLUS or MINUS")
     if c.k == 0:
         return None
-    if not c.knot.positive:
-        sign = Sign.MINUS if sign is Sign.PLUS else Sign.PLUS
     level = _level(c.lens, c.knot, c.k - 1)
-    counts = _stabilized_counts(c.complement.minus_counts, sign, _level_sizes(c.complement.path), level[2])
+    on_complement = _COMPLEMENT_SIGN[c.knot.positive][sign]
+    counts = _stabilized_counts(c.complement.minus_counts, on_complement, _level_sizes(c.complement.path), level[2])
     if counts is None:
         return None
-    (out,), _ = _classes_from_shuffles(c.lens, c.knot, c.k - 1, level, [counts])
-    return out if c.knot.positive else replace(out, rot_q=-out.rot_q)
+    return _classes_from_shuffles(c.lens, c.knot, c.k - 1, level, [counts])[0][0]
 
 
 class RangeKind(Enum):
@@ -234,9 +246,6 @@ class RangeKind(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-_KIND_SWAP = {RangeKind.BACK_SLASH: RangeKind.FORWARD_SLASH, RangeKind.FORWARD_SLASH: RangeKind.BACK_SLASH}
 
 
 @dataclass(frozen=True)
@@ -272,10 +281,10 @@ class MountainRange:
     """A base class and its certified stabilization arms.
 
     The members fix the stabilization edges: the base's two stabilizations
-    are loose, listed (+, -) for a positively oriented knot and (-, +) for
-    a negative one; arm member i stabilizes with its arm's sign to member
-    i - 1 of that arm (the base for i = 1), and with the other sign to a
-    loose class.
+    are loose, listed in the positive representative's arm order, (+, -)
+    for a positively oriented knot and (-, +) for a negative one; arm
+    member i stabilizes with its arm's sign to member i - 1 of that arm
+    (the base for i = 1), and with the other sign to a loose class.
     """
 
     kind: RangeKind
@@ -291,8 +300,7 @@ class MountainRange:
     @property
     def edges(self) -> tuple[StabEdge, ...]:
         base = self.members[0]
-        first, second = _ARM_SIGNS["+" if base.cls.knot.positive else "-"]
-        edges = [StabEdge(base.member_id, first, None), StabEdge(base.member_id, second, None)]
+        edges = [StabEdge(base.member_id, sign, None) for sign in _COMPLEMENT_SIGN[base.cls.knot.positive]]
         below = dict.fromkeys("+-", base.member_id)  # last member id on each arm
         for m in self.members[1:]:
             sign, other = _ARM_SIGNS[m.arm]
@@ -304,9 +312,9 @@ class MountainRange:
 def _assemble_range(
     classes: tuple, rots: tuple, k: int, i: int, arms: dict[Sign, list[int]], k_max: int, problems: list[str]
 ) -> Optional[MountainRange]:
-    # the base is classes[k][i] and arms[sign][n - 1] the index of its
-    # arm's n-th member on level k + n; rots holds each class's rot times
-    # p, and p*tb on level k is |num s_k|, so invariants compare as ints
+    # the base is classes[k][i] and arms[sign][n - 1] the index of its arm's
+    # n-th member on level k + n, arms in member order; rots holds each class's
+    # rot times p, and p*tb on level k is |num s_k|, so invariants compare as ints
     base, rot = classes[k][i], rots[k][i]
     p, tb = base.lens.p, abs(base.dividing_slope.num)
     expected = k_max - k
@@ -320,7 +328,8 @@ def _assemble_range(
     kind = RangeKind.V if all(arms.values()) else RangeKind.FORWARD_SLASH if arms[Sign.PLUS] else RangeKind.BACK_SLASH
     euler = base.euler % p
     members = [RangeMember(base, "base", 0)]
-    for step, arm, label in ((p, arms[Sign.PLUS], "+"), (-p, arms[Sign.MINUS], "-")):
+    for sign, arm in arms.items():
+        step, label = sign * p, "+" if sign is Sign.PLUS else "-"
         for n, j in enumerate(arm, start=1):
             member = classes[k + n][j]
             if abs(member.dividing_slope.num) != tb + n * p or rots[k + n][j] != rot + n * step:
@@ -333,19 +342,6 @@ def _assemble_range(
     return MountainRange(kind, base.rot_q, base.tb_q, base.euler, tuple(members))
 
 
-def _flip_orientation(mr: MountainRange) -> MountainRange:
-    """Reverse the knot orientation: negate rotations and swap slash kinds.
-
-    The recorded complement data stays that of the positively-oriented
-    representative at the opposite rotation number.
-    """
-    knot, arm = replace(mr.members[0].cls.knot, positive=False), {"+": "-", "-": "+", "base": "base"}
-    members = tuple(
-        RangeMember(replace(m.cls, rot_q=-m.cls.rot_q, knot=knot), arm[m.arm], m.index) for m in mr.members
-    )
-    return MountainRange(_KIND_SWAP.get(mr.kind, mr.kind), -mr.base_rot, mr.base_tb, mr.euler, members)
-
-
 def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[MountainRange]:
     """All mountain ranges of non-loose representatives of one rational unknot.
 
@@ -356,9 +352,9 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
     """
     if k_max < 3:
         raise ClassificationError("k_max must be at least 3 to certify arm patterns")
-    base_knot = replace(knot, positive=True)
     # per level k: its classes, their rots times p, its signed block sizes
-    classes, rots, sizes = zip(*(_level_classes(lens, base_knot, k) for k in range(k_max + 1)))
+    classes, rots, sizes = zip(*(_level_classes(lens, knot, k) for k in range(k_max + 1)))
+    signs = _COMPLEMENT_SIGN[knot.positive].items()
     # preds[k][(minus counts on level k, sign)]: indices of the level k + 1 classes stabilizing there
     preds: list[dict[tuple, list[int]]] = [{} for _ in range(k_max)]
     bases = [(0, i) for i in range(len(classes[0]))]
@@ -367,8 +363,8 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
         up = preds[k - 1]
         for i, c in enumerate(classes[k]):
             tight = 0
-            for sign in (Sign.PLUS, Sign.MINUS):
-                counts = _stabilized_counts(c.complement.minus_counts, sign, sizes[k], sizes[k - 1])
+            for sign, on_complement in signs:
+                counts = _stabilized_counts(c.complement.minus_counts, on_complement, sizes[k], sizes[k - 1])
                 if counts is not None:
                     up.setdefault((counts, sign), []).append(i)
                     tight += 1
@@ -384,7 +380,7 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
         if k > 1:
             problems.append(f"{base.class_id}: unexpected base above the first two slopes")
             continue
-        arms: dict[Sign, list[int]] = {Sign.PLUS: [], Sign.MINUS: []}
+        arms: dict[Sign, list[int]] = {sign: [] for sign, _ in signs}
         for sign, arm in arms.items():
             counts = base.complement.minus_counts
             for j in range(k, k_max):
@@ -407,10 +403,7 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
         problems.append(f"{unclaimed} classes outside every certified range")
     if problems:
         raise ClassificationError(*sorted(problems))
-    if not knot.positive:
-        ranges = [(tb, -rot, _flip_orientation(mr)) for tb, rot, mr in ranges]
-    ranges.sort(key=lambda r: (r[0], r[1], r[2].kind.value))
-    return [mr for _, _, mr in ranges]
+    return [mr for _, _, mr in sorted(ranges, key=lambda r: (r[0], r[1], r[2].kind.value))]
 
 
 @dataclass(frozen=True)
@@ -425,10 +418,6 @@ class RangeCounts:
     v_low: int
     slashes: int
     v_high: int
-
-    @property
-    def total(self) -> int:
-        return self.v_low + 2 * self.slashes + self.v_high
 
 
 def _counts_from_cf(coeffs: tuple[int, ...]) -> RangeCounts:

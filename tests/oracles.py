@@ -32,7 +32,7 @@ from nonloose.farey import (
     farey_sum,
     has_edge,
 )
-from nonloose.unknots import NonLooseClass, RangeKind, RangeMember, slope_k
+from nonloose.unknots import MountainRange, NonLooseClass, RangeKind, RangeMember, slope_k
 
 
 def intersection_count(x: Slope, y: Slope) -> int:
@@ -502,6 +502,22 @@ def assemble_range_by_fractions(
     edges = [(source, flip[sign], target) for source, sign, target in edges]
     return kind, (-base.rot_q, base.tb_q), base.euler, tuple(members), tuple(edges)
 
+
+
+_KIND_SWAP = {RangeKind.BACK_SLASH: RangeKind.FORWARD_SLASH, RangeKind.FORWARD_SLASH: RangeKind.BACK_SLASH}
+
+
+def flip_orientation(mr: MountainRange) -> MountainRange:
+    """Reverse the knot orientation: negate rotations and swap slash kinds.
+
+    The recorded complement data stays that of the positively-oriented
+    representative at the opposite rotation number.
+    """
+    knot, arm = replace(mr.members[0].cls.knot, positive=False), {"+": "-", "-": "+", "base": "base"}
+    members = tuple(
+        RangeMember(replace(m.cls, rot_q=-m.cls.rot_q, knot=knot), arm[m.arm], m.index) for m in mr.members
+    )
+    return MountainRange(_KIND_SWAP.get(mr.kind, mr.kind), -mr.base_rot, mr.base_tb, mr.euler, members)
 
 # --- concrete decorated-path machinery, independent of the package's ---
 # --- shuffle-class engine                                            ---

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -341,3 +342,39 @@ def test_path_check_rejects_a_sign_on_the_last_vertex():
         code, out, err = invoke(["path", "check", "--context", "torus", "--signs", signs])
         assert (code, out) == (1, "") and err.startswith("error: ") and "last vertex" in err
     assert invoke(["path", "check", "--context", "torus", "--signs", "-3:+ -2:+ -1"]) == (0, "tight\n", "")
+
+
+def _one_error_line(result, prefix):
+    code, out, err = result
+    assert (code, out) == (1, "") and err.startswith(prefix) and err.count("\n") == 1, result
+
+
+def test_unusable_cache_dir_is_a_domain_error(tmp_path):
+    a_file = tmp_path / "atlas"
+    a_file.write_text("not a directory\n")
+    for cache_dir in (a_file, a_file / "below"):
+        result = invoke(["classify", "5", "2", "--cache-dir", str(cache_dir)])
+        _one_error_line(result, f"error: cannot use cache dir {cache_dir}: ")
+    assert a_file.read_text() == "not a directory\n"
+
+
+def test_cache_write_failure_is_a_domain_error(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", refuse)
+    result = invoke(["classify", "5", "2", "--cache-dir", str(tmp_path)])
+    _one_error_line(result, f"error: cannot use cache dir {tmp_path}: {os.strerror(errno.EACCES)}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unreadable_cache_file_is_a_miss(tmp_path, monkeypatch):
+    args = ["classify", "5", "2", "--cache-dir", str(tmp_path)]
+    fresh = invoke(args)
+    assert fresh[0] == 0
+
+    def unreadable(*args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    assert invoke(args) == fresh

@@ -336,7 +336,7 @@ def test_euler_rep_matches_subtraction():
 
 
 def test_class_id_text_and_copies():
-    from nonloose.unknots import _flip_orientation
+    from oracles import flip_orientation as _flip_orientation
 
     ids = [c.class_id for c in classes_at_slope(LensSpace(5, 2), K0, 1)]
     assert ids == ["s1[0,0]", "s1[0,1]", "s1[1,0]", "s1[1,1]", "s1[2,0]", "s1[2,1]"]
@@ -627,3 +627,56 @@ def test_knot_parse_takes_at_most_one_dash():
     for text in ("--K0", "---K1", "- K0", "-", ""):
         with pytest.raises(ClassificationError):
             KnotId.parse(text)
+
+
+def _oriented_cases():
+    # every coprime L(p, q) with p <= 13 on all four oriented cores
+    return [
+        (LensSpace(p, q), KnotId(core, positive))
+        for p in range(2, 14)
+        for q in range(1, p)
+        if gcd(p, q) == 1
+        for core in ("K0", "K1")
+        for positive in (True, False)
+    ]
+
+
+def test_classes_at_slope_agree_with_classify_on_every_oriented_core():
+    checked = 0
+    for lens, knot in _oriented_cases():
+        by_id = {m.member_id: m.cls for mr in classify(lens, knot, 4) for m in mr.members}
+        levels = [classes_at_slope(lens, knot, k) for k in range(5)]
+        assert sum(map(len, levels)) == len(by_id), (str(lens), str(knot))
+        for c in (c for level in levels for c in level):
+            assert by_id[c.class_id] == c, (str(lens), str(knot), c.class_id)
+            checked += 1
+    assert checked == 9384
+
+
+def test_stabilize_moves_tb_and_rot_on_every_oriented_core():
+    # positive stabilization lowers tb and rot by one, negative lowers tb
+    # and raises rot, whatever the knot's orientation
+    tight = 0
+    for lens, knot in _oriented_cases():
+        for k in range(1, 5):
+            for c in classes_at_slope(lens, knot, k):
+                for sign, rot_step in ((Sign.PLUS, -1), (Sign.MINUS, 1)):
+                    r = stabilize(c, sign)
+                    if r is not None:
+                        where = (str(lens), str(knot), c.class_id, sign)
+                        assert (r.knot, r.k) == (knot, k - 1), where
+                        assert (r.tb_q, r.rot_q) == (c.tb_q - 1, c.rot_q + rot_step), where
+                        tight += 1
+    assert tight == 7952
+
+
+def test_negative_knot_ranges_are_the_flipped_positive_ranges():
+    from oracles import flip_orientation
+
+    for lens, knot in _oriented_cases():
+        if not knot.positive:
+            positive = KnotId(knot.core)
+            # flipped, then in classify's order: by base tb, base rot and kind
+            flipped = map(flip_orientation, classify(lens, positive, 4))
+            want = sorted(flipped, key=lambda mr: (mr.base_tb, mr.base_rot, mr.kind.value))
+            assert classify(lens, knot, 4) == want, (str(lens), str(knot))

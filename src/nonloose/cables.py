@@ -52,10 +52,7 @@ def divide_cable_tb(c: CableSpec) -> int:
 def ruling_cable_tb(c: CableSpec, dividing: Slope) -> int:
     """tb of a cable realized as a ruling curve on a torus of the given
     dividing slope: pq - |p q' - p' q| for dividing slope q'/p'."""
-    if dividing.is_infinite:
-        q1, p1 = 1, 0
-    else:
-        q1, p1 = dividing.num, dividing.den
+    q1, p1 = dividing.num, dividing.den
     if c.q * p1 == c.p * q1:
         raise CableError("ruling slope equals the dividing slope; that is a divide")
     return c.p * c.q - abs(c.p * q1 - p1 * c.q)

@@ -15,6 +15,7 @@ coordinates of the vertex before it; only the first needs an inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 from typing import NoReturn
 
 from .farey import INFINITY, FareyError, Slope
@@ -83,11 +84,16 @@ class FareyPath:
         return " ".join(str(s) for s in self.vertices)
 
 
-def expand(s: Slope) -> ContinuedFraction:
-    """Negative continued fraction of a rational slope s < -1."""
+def _below_minus_one(s: Slope) -> tuple[int, int]:
+    # the domain of expand and of the Farey parents: (num, den) of s < -1
     if s.is_infinite or s.num >= -s.den:
         raise FareyError(f"negative continued fractions require s < -1, got {s}")
-    num, den = s.num, s.den
+    return s.num, s.den
+
+
+def expand(s: Slope) -> ContinuedFraction:
+    """Negative continued fraction of a rational slope s < -1."""
+    num, den = _below_minus_one(s)
     coeffs = []
     while True:
         if den == 1:
@@ -111,9 +117,7 @@ def value(cf: ContinuedFraction) -> Slope:
 def _larger_parent(s: Slope) -> tuple[int, int]:
     # the larger Farey parent u/v of s = n/d < -1 has n*v - d*u = -1 and
     # 0 <= v < d, so v = -n^-1 mod d; v is 0 exactly when s is an integer
-    if s.is_infinite or s.num >= -s.den:
-        raise FareyError(f"negative continued fractions require s < -1, got {s}")
-    n, d = s.num, s.den
+    n, d = _below_minus_one(s)
     v = -pow(n, -1, d) % d
     return (1 + v * n) // d, v
 
@@ -188,15 +192,8 @@ def _block_lengths(vertices: tuple[Slope, ...]) -> list[int]:
     return lengths
 
 
-def _edge_ranges(lengths: list[int] | tuple[int, ...]):
-    # the edge indices of each block, from the block lengths
-    start = 0
-    for n in lengths:
-        yield range(start, start + n)
-        start += n
-
-
 def block_structure(path: FareyPath) -> tuple[tuple[int, ...], ...]:
     """Partition of a path's edge indices into maximal continued
     fraction blocks."""
-    return tuple(map(tuple, _edge_ranges(_block_lengths(path.vertices))))
+    bounds = accumulate(_block_lengths(path.vertices), initial=0)
+    return tuple(tuple(range(a, b)) for a, b in pairwise(bounds))

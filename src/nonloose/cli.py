@@ -12,12 +12,12 @@ import os
 import re
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
 from . import render
 from .cables import (
-    CableError,
     CableSpec,
     LegendrianInvariants,
     divide_cable_tb,
@@ -39,9 +39,8 @@ from .decorated import (
     count_tight,
     is_tight,
 )
-from .farey import FareyError, Slope, dot, farey_sum, has_edge
+from .farey import Slope, dot, farey_sum, has_edge
 from .unknots import (
-    ClassificationError,
     Flavor,
     KnotId,
     LensSpace,
@@ -54,6 +53,12 @@ FORMATS = ("table", "json", "csv", "svg")
 KNOTS = ("K0", "K1", "-K0", "-K1")
 # part of every cache file name; bump it when the cached payload changes
 CACHE_SCHEMA = 1
+# path check's contexts, each built from the path's first and last vertex
+_PATH_CONTEXTS = {
+    "torus": ThickenedTorus,
+    "upper": lambda first, last: UpperSolidTorus(meridian=last, boundary=first),
+    "lower": LowerSolidTorus,
+}
 
 
 class _ParseEnd(Exception):
@@ -78,6 +83,18 @@ class _Parser(argparse.ArgumentParser):
 def _line(value):
     # a leaf handler printing value(args) on one line
     return lambda args, out: out.write(f"{value(args)}\n")
+
+
+def _fields(value):
+    # a leaf handler printing the dict value(args) on one line: JSON under
+    # --format json, else k=v pairs
+    def text(args) -> str:
+        fields = value(args)
+        if getattr(args, "format", None) == "json":
+            return json.dumps(fields)
+        return " ".join(f"{k}={v}" for k, v in fields.items())
+
+    return _line(text)
 
 
 def _build_parser() -> _Parser:
@@ -128,9 +145,9 @@ def _build_parser() -> _Parser:
     pa = sub.add_parser("path", help="decorated path queries")
     psub = pa.add_subparsers(dest="op", required=True)
     p_check = psub.add_parser("check")
-    p_check.add_argument("--context", required=True, choices=["torus", "upper", "lower"])
+    p_check.add_argument("--context", required=True, choices=_PATH_CONTEXTS)
     p_check.add_argument("--signs", required=True, help='e.g. "-8/3:- -5/2:+ -2:- -1"')
-    p_check.set_defaults(run=_run_path_check)
+    p_check.set_defaults(run=_line(_path_check))
 
     ca = sub.add_parser("cable", help="cable invariant calculators")
     csub = ca.add_subparsers(dest="op", required=True)
@@ -151,18 +168,18 @@ def _build_parser() -> _Parser:
     c_pos.add_argument("tb", type=int)
     c_pos.add_argument("rot", type=int)
     c_pos.add_argument("--format", default=None, choices=["table", "json"])
-    c_pos.set_defaults(run=_run_positive_cable)
+    c_pos.set_defaults(run=_fields(_positive_cable))
     c_neg = csub.add_parser("negative")
     c_neg.add_argument("p", type=int)
     c_neg.add_argument("q", type=int)
     c_neg.add_argument("tb", type=int)
     c_neg.set_defaults(
-        run=_line(lambda a: f"tb={negative_cable_tb(LegendrianInvariants(a.tb, 0), CableSpec(a.p, a.q))}")
+        run=_fields(lambda a: {"tb": negative_cable_tb(LegendrianInvariants(a.tb, 0), CableSpec(a.p, a.q))})
     )
     c_fam = csub.add_parser("family")
     c_fam.add_argument("n", type=int)
     c_fam.add_argument("--format", default=None, choices=["table", "json"])
-    c_fam.set_defaults(run=_run_cable_family)
+    c_fam.set_defaults(run=_fields(lambda a: asdict(transnonsimple_family(a.n))))
 
     ex = sub.add_parser("exists", help="non-loose existence oracle")
     ex.add_argument("--flavor", required=True, choices=["legendrian", "transverse"])
@@ -253,16 +270,10 @@ def _farey_path(args) -> str:
     return json.dumps([str(v) for v in path.vertices])
 
 
-def _run_path_check(args, out) -> None:
+def _path_check(args) -> str:
     d = _parse_decorated(args.signs)
-    v = d.vertices
-    if args.context == "torus":
-        ctx = ThickenedTorus(v[0], v[-1])
-    elif args.context == "upper":
-        ctx = UpperSolidTorus(meridian=v[-1], boundary=v[0])
-    else:
-        ctx = LowerSolidTorus(meridian=v[0], boundary=v[-1])
-    out.write("tight\n" if is_tight(d, ctx) else "overtwisted\n")
+    ctx = _PATH_CONTEXTS[args.context](d.vertices[0], d.vertices[-1])
+    return "tight" if is_tight(d, ctx) else "overtwisted"
 
 
 def _cable_tb(args) -> int:
@@ -270,21 +281,9 @@ def _cable_tb(args) -> int:
     return divide_cable_tb(spec) if args.dividing is None else ruling_cable_tb(spec, Slope.parse(args.dividing))
 
 
-def _run_positive_cable(args, out) -> None:
+def _positive_cable(args) -> dict:
     inv = positive_cable(LegendrianInvariants(args.tb, args.rot), CableSpec(args.p, args.q))
-    sl = self_linking(inv)
-    if args.format == "json":
-        out.write(json.dumps({"tb": inv.tb, "rot": inv.rot, "sl": sl}) + "\n")
-    else:
-        out.write(f"tb={inv.tb} rot={inv.rot} sl={sl}\n")
-
-
-def _run_cable_family(args, out) -> None:
-    fam = transnonsimple_family(args.n)
-    if args.format == "json":
-        out.write(json.dumps({"tb": fam.tb, "rot": fam.rot, "sl": fam.sl, "count": fam.count}) + "\n")
-    else:
-        out.write(f"tb={fam.tb} rot={fam.rot} sl={fam.sl} count={fam.count}\n")
+    return {**asdict(inv), "sl": self_linking(inv)}
 
 
 def _run_exists(args, out) -> None:
@@ -328,7 +327,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         args.format = default_format if default_format in FORMATS else "table"
     try:
         args.run(args, out)
-    except (FareyError, DecorationError, ClassificationError, CableError, ValueError) as exc:
+    except ValueError as exc:
         err.write(f"error: {exc}\n")
         return 1
     return 0

@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import product
+from itertools import islice, product
 from typing import Collection, Optional, Union
 
-from .cfrac import FareyPath, _block_lengths, _edge_ranges, _minimal_vertices
+from .cfrac import FareyPath, _block_lengths, _minimal_vertices
 from .farey import (
     ZERO,
     SignedVector,
@@ -36,7 +36,7 @@ class Sign(IntEnum):
     PLUS = 1
 
     def __str__(self) -> str:
-        return {Sign.MINUS: "-", Sign.UNSIGNED: "", Sign.PLUS: "+"}[self]
+        return ("", "+", "-")[self]
 
 
 class DecorationError(ValueError):
@@ -156,18 +156,18 @@ class ShuffleClass:
     unsigned_positions: tuple[int, ...] = ()
 
 
-def _context_data(c: Context) -> tuple[tuple[Slope, ...], frozenset]:
-    """Minimal path and unsigned edge set realizing a context."""
+def _context_data(c: Context) -> tuple[tuple[Slope, ...], tuple[int, ...]]:
+    """Minimal path and unsigned edges, in order, realizing a context."""
     if isinstance(c, ThickenedTorus):
-        return _minimal_vertices(c.s0, c.s1), frozenset()
+        return _minimal_vertices(c.s0, c.s1), ()
     if isinstance(c, LowerSolidTorus):
-        return _minimal_vertices(c.meridian, c.boundary), frozenset({0})
+        return _minimal_vertices(c.meridian, c.boundary), (0,)
     if isinstance(c, UpperSolidTorus):
         verts = _minimal_vertices(c.boundary, c.meridian)
-        return verts, frozenset({len(verts) - 2})
+        return verts, (len(verts) - 2,)
     if isinstance(c, LensSpace):
         verts = _minimal_vertices(Slope(-c.p, c.q), ZERO)
-        return verts, frozenset({0, len(verts) - 2})
+        return verts, tuple(sorted({0, len(verts) - 2}))
     raise DecorationError(f"unknown context {c!r}")
 
 
@@ -184,8 +184,8 @@ def _signed_sizes(vertices: tuple[Slope, ...], unsigned: Collection[int]) -> tup
 
 
 def _minus_counts(d: DecoratedPath) -> tuple[int, ...]:
-    lengths, _ = _signed_sizes(d.vertices, ())
-    return tuple(sum(d.signs[e] is Sign.MINUS for e in r) for r in _edge_ranges(lengths))
+    signs = iter(d.signs)
+    return tuple(sum(s is Sign.MINUS for s in islice(signs, n)) for n in _block_lengths(d.vertices))
 
 
 def canonicalize(d: DecoratedPath) -> ShuffleClass:
@@ -328,21 +328,18 @@ def enumerate_tight(c: Context) -> list[ShuffleClass]:
     """All tight structures on a context as shuffle classes."""
     vertices, unsigned = _context_data(c)
     _, sizes = _signed_sizes(vertices, unsigned)
-    pos = tuple(sorted(unsigned))
-    return [ShuffleClass(vertices, counts, pos) for counts in _shuffle_counts(sizes)]
+    return [ShuffleClass(vertices, counts, unsigned) for counts in _shuffle_counts(sizes)]
 
 
 def relative_euler(d: DecoratedPath) -> SignedVector:
     """Curve class Poincare dual to the relative Euler class.
 
-    Sum over the signed edges of sign times the unreduced difference of
-    the edge's endpoints; unsigned edges contribute nothing.
+    Sum over the edges of sign times the unreduced difference of the
+    edge's endpoints; unsigned edges, of sign 0, contribute nothing.
     """
     total = SignedVector(0, 0)
     vertices = d.vertices
     for e, sg in enumerate(d.signs):
-        if sg is Sign.UNSIGNED:
-            continue
         total = total + farey_diff(vertices[e + 1], vertices[e]).scaled(int(sg))
     return total
 
@@ -363,8 +360,9 @@ def _block_pairings(
     # (pairing of the block's edge class with the meridian, signed size)
     # per block, from the lengths and sizes _signed_sizes gives
     out = []
-    for edges, size in zip(_edge_ranges(lengths), sizes):
-        diffs = {farey_diff(vertices[e + 1], vertices[e]) for e in edges}
+    edges = zip(vertices, vertices[1:])
+    for n, size in zip(lengths, sizes):
+        diffs = {farey_diff(b, a) for a, b in islice(edges, n)}
         if len(diffs) != 1:
             raise DecorationError("block crosses an infinity representative change")
         out.append((cross(diffs.pop(), meridian), size))

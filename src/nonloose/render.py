@@ -44,7 +44,7 @@ def classification_dict(
                 "stabilizations": [
                     {
                         "source": e.source,
-                        "sign": "+" if e.sign > 0 else "-",
+                        "sign": str(e.sign),
                         "target": e.target if e.target is not None else "loose",
                     }
                     for e in mr.edges

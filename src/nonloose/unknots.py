@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .cfrac import ancestor, expand
 from .decorated import (
@@ -148,34 +148,23 @@ def _euler_rep(x: int, p: int) -> int:
     return x
 
 
-def _level(lens: LensSpace, knot: KnotId, k: int) -> tuple:
-    # the complement of the k-th neighborhood as a solid torus context: its
-    # path s_k -> 0, unsigned edges, signed block sizes and Euler pairings
+def _level_classes(lens: LensSpace, knot: KnotId, k: int, choose=_shuffle_counts) -> tuple:
+    # the classes of level k with the minus counts choose(signed block sizes)
+    # yields, their rots times p, and those sizes; the complement path is
+    # s_k -> 0 with its last edge unsigned, and tb times p is |num s_k|
     path, unsigned = _context_data(UpperSolidTorus(ZERO, slope_k(lens, knot, k)))
     lengths, sizes = _signed_sizes(path, unsigned)
-    return path, tuple(unsigned), sizes, _block_pairings(path, lengths, sizes, ZERO)
-
-
-def _classes_from_shuffles(lens: LensSpace, knot: KnotId, k: int, level: tuple, all_counts: Iterable) -> tuple:
-    # the classes with these minus counts on a _level's complement path, and
-    # each one's rot times p; tb times p is |num s_k| on the whole level
-    path, pos, _, pairings = level
+    pairings = _block_pairings(path, lengths, sizes, ZERO)
     p, orient = lens.p, 1 if knot.positive else -1
     tb_q = Fraction(abs(path[0].num), p)
     classes, rots = [], []
-    for counts in all_counts:
+    for counts in choose(sizes):
         e_disk = _paired_euler(pairings, counts)
         rot = orient * e_disk
-        sc = ShuffleClass(path, counts, pos)
+        sc = ShuffleClass(path, counts, unsigned)
         classes.append(NonLooseClass(lens, knot, path[0], sc, tb_q, Fraction(rot, p), _euler_rep(-e_disk, p), k))
         rots.append(rot)
-    return classes, rots
-
-
-def _level_classes(lens: LensSpace, knot: KnotId, k: int) -> tuple:
-    # every class of level k, their rots times p and the level's signed sizes
-    level = _level(lens, knot, k)
-    return (*_classes_from_shuffles(lens, knot, k, level, _shuffle_counts(level[2])), level[2])
+    return classes, rots, sizes
 
 
 def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClass]:
@@ -231,12 +220,15 @@ def stabilize(c: NonLooseClass, sign: Sign) -> Optional[NonLooseClass]:
         raise ClassificationError("stabilization sign must be PLUS or MINUS")
     if c.k == 0:
         return None
-    level = _level(c.lens, c.knot, c.k - 1)
     on_complement = _COMPLEMENT_SIGN[c.knot.positive][sign]
-    counts = _stabilized_counts(c.complement.minus_counts, on_complement, _level_sizes(c.complement.path), level[2])
-    if counts is None:
-        return None
-    return _classes_from_shuffles(c.lens, c.knot, c.k - 1, level, [counts])[0][0]
+    sizes = _level_sizes(c.complement.path)
+
+    def stabilized(below: tuple[int, ...]) -> tuple:
+        counts = _stabilized_counts(c.complement.minus_counts, on_complement, sizes, below)
+        return () if counts is None else (counts,)
+
+    classes = _level_classes(c.lens, c.knot, c.k - 1, stabilized)[0]
+    return classes[0] if classes else None
 
 
 class RangeKind(Enum):
@@ -329,7 +321,7 @@ def _assemble_range(
     euler = base.euler % p
     members = [RangeMember(base, "base", 0)]
     for sign, arm in arms.items():
-        step, label = sign * p, "+" if sign is Sign.PLUS else "-"
+        step, label = sign * p, str(sign)
         for n, j in enumerate(arm, start=1):
             member = classes[k + n][j]
             if abs(member.dividing_slope.num) != tb + n * p or rots[k + n][j] != rot + n * step:
@@ -426,8 +418,6 @@ def _counts_from_cf(coeffs: tuple[int, ...]) -> RangeCounts:
         # integer surgery: one low V and |a_0 + 1| high Vs, no slashes
         return RangeCounts(1, 0, abs(coeffs[0] + 1))
     v_high = math.prod(abs(a + 1) for a in coeffs)
-    if n == 1:
-        return RangeCounts(abs(coeffs[0] + 2), 1, v_high)
     slashes = math.prod(abs(a + 1) for a in coeffs[:-2])
     v_low = slashes * abs(coeffs[-2] + 2)
     return RangeCounts(v_low, slashes, v_high)

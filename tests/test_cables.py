@@ -152,3 +152,18 @@ def test_transnonsimple_family():
         assert fam.sl == self_linking(LegendrianInvariants(fam.tb, fam.rot))
     with pytest.raises(CableError):
         transnonsimple_family(0)
+
+
+def test_ruling_tb_on_the_infinite_dividing_slope():
+    # infinity is stored as (1, 0), so q'/p' = 1/0 in pq - |p q' - p' q|
+    from nonloose.farey import INFINITY
+
+    for (p, q), tb in (((2, 7), 12), ((3, 1), 0), ((1, 0), -1), ((5, -2), -15)):
+        assert ruling_cable_tb(CableSpec(p, q), INFINITY) == tb
+        assert ruling_cable_tb(CableSpec(p, q), Slope(-1, 0)) == tb
+
+
+def test_stab_count_relation_rejects_slopes_outside_the_window():
+    for p, q in ((2, 3), (2, -1), (1, 1), (1, 0)):
+        with pytest.raises(CableError, match=r"^the relation needs q/p in \(tb - 1, tb\)$"):
+            stab_count_relation(LegendrianInvariants(1, 0), CableSpec(p, q))

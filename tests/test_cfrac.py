@@ -341,3 +341,8 @@ def test_repeat_of_last_vertex_is_not_distinct():
         with pytest.raises(FareyError, match="path vertices must be distinct"):
             FareyPath(vertices)
         assert _validation_outcome(check_path_by_arcs, vertices) == "path vertices must be distinct"
+
+
+def test_path_text_lists_its_vertices():
+    assert str(minimal_path(Slope(-7, 3), INFINITY)) == "-7/3 -2/1 1/0"
+    assert str(ContinuedFraction((-3, -2, -4, -2))) == "[-3,-2,-4,-2]"

@@ -378,3 +378,8 @@ def test_unreadable_cache_file_is_a_miss(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "read_text", unreadable)
     assert invoke(args) == fresh
+
+
+def test_path_check_lower_context_and_infinite_dividing_slope():
+    assert invoke(["path", "check", "--context", "lower", "--signs", "-5/2 -2:+ 1/0"]) == (0, "tight\n", "")
+    assert invoke(["cable", "tb", "2", "7", "--dividing", "1/0"]) == (0, "12\n", "")

@@ -574,3 +574,54 @@ def test_long_chain_walk_matches_short_chain():
         assert finals[0] == finals[1], finals
         verdicts.append(finals[0] is not None)
     assert verdicts == [True, True, False, False, False, True, True, False]
+
+
+def test_is_tight_names_each_context_mismatch():
+    signed = dpath(integer_run(-3, 0), (P, P, P))
+    upper = dpath(integer_run(-3, 0), (P, P, U))
+    lower = dpath(integer_run(-3, 0), (U, P, P))
+    cases = [
+        (signed, ThickenedTorus(Slope(-3), Slope(-1)), "path endpoints do not match the boundary slopes"),
+        (upper, ThickenedTorus(Slope(-3), ZERO), "thickened torus paths carry a sign on every edge"),
+        (upper, LowerSolidTorus(Slope(-3), ZERO), "a lower solid torus leaves exactly the first edge unsigned"),
+        (lower, LowerSolidTorus(Slope(-3), Slope(-1)), "path endpoints do not match the torus data"),
+        (lower, UpperSolidTorus(meridian=ZERO, boundary=Slope(-3)), "an upper solid torus leaves exactly the last edge unsigned"),
+        (upper, UpperSolidTorus(meridian=ZERO, boundary=Slope(-2)), "path endpoints do not match the torus data"),
+        (upper, Lens(3, 1), "tightness of decorated paths is not defined on lens contexts"),
+    ]
+    for d, ctx, message in cases:
+        with pytest.raises(DecorationError) as info:
+            is_tight(d, ctx)
+        assert str(info.value) == message, (d, ctx)
+
+
+def test_relative_euler_skips_unsigned_edges():
+    run = integer_run(-4, 0)
+    for signs in ((U, P, M, P), (P, M, P, U), (U, M, M, M)):
+        signed = [e for e, s in enumerate(signs) if s is not U]
+        inner = dpath(run[signed[0] : signed[-1] + 2], [signs[e] for e in signed])
+        assert relative_euler(dpath(run, signs)) == relative_euler(inner)
+    assert relative_euler(dpath(integer_run(-2, -1), (U,))) == SignedVector(0, 0)
+
+
+def test_shuffle_euler_rejects_a_block_across_infinity():
+    # 1 -> 1/0 -> -1 is one block whose two edges take different
+    # representatives of infinity
+    (sc,) = enumerate_tight(ThickenedTorus(Slope(1), Slope(-1)))[:1]
+    assert sc.path == (Slope(1), INFINITY, Slope(-1))
+    with pytest.raises(DecorationError, match="^block crosses an infinity representative change$"):
+        shuffle_euler_on_disk(sc, ZERO)
+
+
+def test_unknown_context_is_a_decoration_error():
+    for query in (count_tight, enumerate_tight):
+        with pytest.raises(DecorationError, match=r"^unknown context 'torus'$"):
+            query("torus")
+
+
+def test_lens_structures_list_each_unsigned_edge_once():
+    # the one edge of L(1, 1) is both terminal edges
+    assert enumerate_tight(Lens(1, 1)) == [ShuffleClass((Slope(-1), ZERO), (0,), (0,))]
+    for p, q in ((2, 1), (5, 2), (7, 3)):
+        for sc in enumerate_tight(Lens(p, q)):
+            assert sc.unsigned_positions == (0, len(sc.path) - 2)

@@ -227,3 +227,14 @@ def test_construction_and_hash_run_class_hooks(monkeypatch):
     slopes = [Slope(2, 4), Slope(-3), Slope(7, 0)]
     assert [hash(s) for s in slopes] == [hash((1, 2)), hash((-3, 1)), hash((1, 0))]
     assert counts == {"post_init": 3, "hash": 3}
+
+
+def test_parse_names_of_infinity_and_negative_iteration():
+    assert Slope.parse("inf") is INFINITY and Slope.parse(" oo ") is INFINITY
+    with pytest.raises(FareyError, match=r"^iterated mediant needs k >= 0$"):
+        iterated_sum(INFINITY, -1, Slope(-3))
+
+
+def test_value_texts():
+    assert repr(Slope(-5, 2)) == "Slope(-5, 2)" and repr(INFINITY) == "Slope(1, 0)"
+    assert str(SignedVector(3, -1)) == "(3, -1)"

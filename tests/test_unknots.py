@@ -680,3 +680,56 @@ def test_negative_knot_ranges_are_the_flipped_positive_ranges():
             flipped = map(flip_orientation, classify(lens, positive, 4))
             want = sorted(flipped, key=lambda mr: (mr.base_tb, mr.base_rot, mr.kind.value))
             assert classify(lens, knot, 4) == want, (str(lens), str(knot))
+
+
+def test_range_counts_of_the_three_sphere():
+    from nonloose.unknots import RangeCounts
+
+    lens = LensSpace(1, 1)
+    assert range_counts(lens) == measured_counts(classify(lens, K0, 3), lens)
+    assert range_counts(lens) == range_counts(lens, K1) == RangeCounts(1, 0, 0)
+
+
+def test_domain_errors_keep_their_messages():
+    lens = LensSpace(5, 2)
+    c = classes_at_slope(lens, K0, 1)[0]
+    with pytest.raises(ClassificationError, match="^stabilization sign must be PLUS or MINUS$"):
+        stabilize(c, Sign.UNSIGNED)
+    with pytest.raises(ClassificationError, match="^k must be non-negative$"):
+        slope_k(lens, K0, -1)
+    contradictions = [
+        (TopologyFacts(is_unknot_in_s3=True, is_rational_unknot=True, ambient="L(5,2)"),
+         "unknot-in-S^3 flag contradicts the ambient"),
+        (TopologyFacts(is_unknot_in_s3=True, is_rational_unknot=True, summand_admits_tight=False),
+         "S^3 admits a tight structure"),
+    ]
+    for facts, message in contradictions:
+        for flavor in Flavor:
+            with pytest.raises(ClassificationError) as info:
+                admits_nonloose(facts, flavor)
+            assert info.value.problems == (message,)
+    one_sided = [mr for mr in classify(lens) if mr.kind is not RangeKind.FORWARD_SLASH]
+    with pytest.raises(ClassificationError, match="^slash kinds out of balance$"):
+        measured_counts(one_sided, lens)
+
+
+def test_classification_error_lists_stabilization_problems(monkeypatch):
+    from nonloose import unknots
+
+    # every stabilization tight, then only the negative ones, each landing
+    # on the level below's first class
+    upper = ("s1[0]", "s1[1]", "s1[2]", "s2[0,0]", "s2[0,1]", "s2[1,0]", "s2[1,1]", "s3[0,0]", "s3[0,1]", "s3[1,0]", "s3[1,1]")
+    head = ("12 classes outside every certified range", "s0[0]: base with no arms at k_max=3")
+    cases = [
+        (lambda *signs: True, K0, head + ("s0[0]: branching + arm", "s0[0]: branching - arm")
+         + tuple(f"{i}: two tight stabilizations" for i in upper)),
+        (lambda sign: sign is Sign.MINUS, K0, head + ("s0[0]: branching - arm",)),
+        (lambda sign: sign is Sign.MINUS, KnotId("K0", False), head + ("s0[0]: branching + arm",)),
+    ]
+    for tight, knot, want in cases:
+        monkeypatch.setattr(
+            unknots, "_stabilized_counts", lambda counts, sign, sizes, below: (0,) * len(below) if tight(sign) else None
+        )
+        with pytest.raises(ClassificationError) as info:
+            classify(LensSpace(2, 1), knot, 3)
+        assert info.value.problems == want

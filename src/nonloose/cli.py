@@ -215,15 +215,17 @@ def _parse_decorated(text: str) -> DecoratedPath:
     return DecoratedPath(FareyPath(tuple(vertices)), tuple(signs))
 
 
-def _read_cached(path: Path, request: dict) -> Optional[dict]:
-    """The cached atlas answering request, or None for a missing,
-    unreadable, truncated or foreign file."""
+def _read_cached(path: Path, request: dict, renderer) -> Optional[str]:
+    """The cached atlas answering request, rendered, or None for a missing,
+    unreadable, truncated or foreign file, or one renderer cannot read."""
     try:
         payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    ok = isinstance(payload, dict) and isinstance(payload.get("ranges"), list)
-    return payload if ok and all(payload.get(k) == v for k, v in request.items()) else None
+        ok = isinstance(payload, dict) and isinstance(payload.get("ranges"), list)
+        if ok and all(payload.get(k) == v for k, v in request.items()):
+            return renderer(payload)
+    except (OSError, RecursionError, LookupError, TypeError, ValueError, ArithmeticError):
+        pass
+    return None
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -242,13 +244,15 @@ def _write_atomic(path: Path, text: str) -> None:
 def _run_classify(args, out) -> None:
     lens = LensSpace(args.p, args.q)
     knot = KnotId.parse(args.knot)
-    payload = cache_file = None
+    # looked up at call time, so a wrapped renderer is the one called
+    renderer = getattr(render, f"classification_{args.format}")
+    text = cache_file = None
     if args.cache_dir:
         # the directory is made on the first write; until then a read misses
         cache_file = Path(args.cache_dir) / f"classify-v{CACHE_SCHEMA}-{args.p}-{args.q}-{knot}-{args.kmax}.json"
         request = {"lens": {"p": lens.p, "q": lens.q}, "knot": str(knot), "k_max": args.kmax}
-        payload = _read_cached(cache_file, request)
-    if payload is None:
+        text = _read_cached(cache_file, request, renderer)
+    if text is None:
         ranges = classify(lens, knot, args.kmax)
         payload = render.classification_dict(lens, knot, args.kmax, ranges)
         if cache_file is not None:
@@ -256,8 +260,8 @@ def _run_classify(args, out) -> None:
                 _write_atomic(cache_file, json.dumps(payload, separators=(",", ":")))
             except OSError as exc:
                 raise ValueError(f"cannot use cache dir {args.cache_dir}: {exc.strerror or exc}") from None
-    formats = {"json": render.classification_json, "csv": render.classification_csv, "svg": render.classification_svg}
-    out.write(formats.get(args.format, render.classification_table)(payload))
+        text = renderer(payload)
+    out.write(text)
 
 
 def _count_solid_torus(args) -> int:

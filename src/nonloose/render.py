@@ -2,12 +2,17 @@
 
 Every renderer consumes the same JSON-ready payload dictionary, so
 cached atlases and fresh classifications produce byte-identical output.
+The JSON writer knows the atlas schema: on a payload in it, it emits the
+bytes `json.dumps` gives with `indent=2`, and on anything else (a missing,
+extra or reordered key, a non-dict, non-list or non-str value where the
+schema has one, or a value of a type other than `int`, bools included,
+where it has an int) it raises `ValueError` or `TypeError`.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
+# json.dumps's own string escaper, which raises TypeError on a non-str
+from json.encoder import encode_basestring_ascii as _str
 
 from .unknots import KnotId, LensSpace, MountainRange
 
@@ -55,8 +60,54 @@ def classification_dict(
     }
 
 
+def _lay_out(opening: str, items, closing: str, depth: int) -> str:
+    # a non-empty object or array at this nesting depth, as json.dumps lays it out with indent=2
+    pad = "\n" + "  " * (depth + 1)
+    return opening + pad + ("," + pad).join(items) + "\n" + "  " * depth + closing
+
+
+def _int(value) -> str:
+    if type(value) is not int:
+        raise TypeError(f"expected an int, got {type(value).__name__}")
+    return repr(value)
+
+
+def _object(depth: int, **fields):
+    # the writer of an object with exactly these keys, in this order, each
+    # value written by its field's writer
+    keys, writers = tuple(fields), tuple(fields.values())
+    template = _lay_out("{{", (f'"{k}": {{}}' for k in keys), "}}", depth)
+
+    def write(obj) -> str:
+        if not isinstance(obj, dict) or tuple(obj) != keys:
+            raise ValueError(f"expected an atlas object with keys {keys}")
+        return template.format(*[field(v) for field, v in zip(writers, obj.values())])
+
+    return write
+
+
+def _array(item, depth: int):
+    # the writer of a list whose values item writes
+    def write(values) -> str:
+        if not isinstance(values, (list, tuple)):
+            raise TypeError(f"expected a list, got {type(values).__name__}")
+        return _lay_out("[", map(item, values), "]", depth) if values else "[]"
+
+    return write
+
+
+# the atlas schema, in classification_dict's key order
+_EDGE = _object(4, source=_str, sign=_str, target=_str)
+_COMPLEMENT = _object(5, path=_array(_str, 6), minus=_array(_int, 6))
+_MEMBER = _object(4, id=_str, arm=_str, index=_int, tb=_str, rot=_str, slope=_str, complement=_COMPLEMENT)
+_RANGE = _object(
+    2, kind=_str, base=_array(_str, 3), euler=_int, members=_array(_MEMBER, 3), stabilizations=_array(_EDGE, 3)
+)
+_ATLAS = _object(0, lens=_object(1, p=_int, q=_int), knot=_str, k_max=_int, ranges=_array(_RANGE, 1))
+
+
 def classification_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return _ATLAS(payload) + "\n"
 
 
 def classification_csv(payload: dict) -> str:
@@ -86,15 +137,18 @@ def classification_table(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float(text: str) -> float:
+    # "a/b" or "a": int true division rounds correctly, as Fraction.__float__ does
+    num, _, den = str.partition(text, "/")
+    return int(num) / int(den or 1)
+
+
 def classification_svg(payload: dict) -> str:
     """Static mountain-range plot: rotation on x, tb on y, one marker per
     member, stabilization arms drawn as segments."""
     ranges = payload["ranges"]
     # each member's (rot, tb), parsed once and grouped by range
-    values = [
-        [(float(Fraction(m["rot"])), float(Fraction(m["tb"]))) for m in r["members"]]
-        for r in ranges
-    ]
+    values = [[(_float(m["rot"]), _float(m["tb"])) for m in r["members"]] for r in ranges]
     rots = [rot for vs in values for rot, _ in vs]
     tbs = [tb for vs in values for _, tb in vs]
     lo_r, hi_r = min(rots, default=0.0) - 0.5, max(rots, default=0.0) + 0.5

@@ -10,10 +10,13 @@ versions of primitives it now computes in closed form, as references.
 keep the package's earlier tightness decision: a search over removal masks
 and per-block minus counts that returns every minimal-path class it
 reaches, where the package now takes one walk of consistent shortenings.
+`classification_json_by_dumps` keeps the package's earlier JSON renderer,
+the general-purpose `json.dumps` encoder.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter, deque
 from dataclasses import replace
 from functools import cache
@@ -518,6 +521,12 @@ def flip_orientation(mr: MountainRange) -> MountainRange:
         RangeMember(replace(m.cls, rot_q=-m.cls.rot_q, knot=knot), arm[m.arm], m.index) for m in mr.members
     )
     return MountainRange(_KIND_SWAP.get(mr.kind, mr.kind), -mr.base_rot, mr.base_tb, mr.euler, members)
+
+
+def classification_json_by_dumps(payload: dict) -> str:
+    """The JSON atlas as the general-purpose encoder lays it out."""
+    return json.dumps(payload, indent=2) + "\n"
+
 
 # --- concrete decorated-path machinery, independent of the package's ---
 # --- shuffle-class engine                                            ---

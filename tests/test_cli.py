@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import nonloose
-from nonloose import cli
+from nonloose import cli, render
 from nonloose.cli import FORMATS, run
 from nonloose.render import classification_dict, classification_svg
 from nonloose.unknots import K0, LensSpace, classify
@@ -116,6 +116,38 @@ def test_classify_cache_rejects_foreign_and_truncated_files(tmp_path):
     key.write_text(key.read_text()[:100])
     assert invoke(cached) == fresh
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted([key.name, other.name])
+
+
+def test_malformed_cache_files_are_misses(tmp_path):
+    # a file with the request's header whose atlas the requested renderer
+    # cannot read is recomputed, rewritten compactly and printed fresh; a
+    # well-formed but wrong value it can read is printed as it stands
+    query = ["classify", "5", "2", "--kmax", "3"]
+    fresh = {fmt: invoke(query + ["--format", fmt]) for fmt in FORMATS}
+    assert invoke(query + ["--cache-dir", str(tmp_path)])[0] == 0
+    (path,) = tmp_path.glob("classify-*.json")
+    compact = path.read_text()
+    cases = [  # (defect, the formats whose renderer cannot read it)
+        (lambda doc: doc.update(ranges=[{"kind": "V"}]), set(FORMATS)),
+        (lambda doc: doc["ranges"][0]["members"][0].update(tb="1/0"), {"svg"}),
+        (lambda doc: doc["ranges"][0].update(euler=True), {"json"}),
+        (lambda doc: doc["ranges"][0].update(extra=0), {"json"}),
+    ]
+    for defect, misses in cases:
+        doc = json.loads(compact)
+        defect(doc)
+        for fmt in FORMATS:
+            path.write_text(json.dumps(doc))
+            result = invoke(query + ["--format", fmt, "--cache-dir", str(tmp_path)])
+            if fmt in misses:
+                assert result == fresh[fmt] and path.read_text() == compact, (doc, fmt)
+            else:
+                assert result == (0, getattr(render, f"classification_{fmt}")(doc), ""), (doc, fmt)
+                assert json.loads(path.read_text()) == doc
+    # a file nested deeper than the JSON parser can recurse is a miss too
+    path.write_text("[" * 100_000)
+    assert invoke(query + ["--format", "table", "--cache-dir", str(tmp_path)]) == fresh["table"]
+    assert path.read_text() == compact
 
 
 def test_classify_cache_warm_hit_skips_classification(tmp_path, monkeypatch):

@@ -148,7 +148,7 @@ _path_check = st.one_of(
     st.tuples(_vertices, _signs).map(lambda t: ["--signs", " ".join(map("".join, zip(*t)))]),
 )
 _format = st.sampled_from((None, *FORMATS, "bogus"))
-_CACHES = (None, "empty", "file", "under-file", "truncated", "foreign", "indented")
+_CACHES = (None, "empty", "file", "under-file", "truncated", "foreign", "indented", "malformed")
 
 
 def _opts(*pairs):
@@ -218,6 +218,11 @@ def _cache_dir(root: Path, kind, argv):
         path.write_text(text[: len(text) // 2])
     elif kind == "indented":
         path.write_text(json.dumps(json.loads(text), indent=2))
+    elif kind == "malformed":
+        # the request's header over a range that no renderer can read
+        doc = json.loads(text)
+        doc["ranges"].append({"kind": "V", "euler": True, "members": [{"tb": "1/0"}]})
+        path.write_text(json.dumps(doc))
     else:
         doc = json.loads(text)
         doc["lens"] = {"p": doc["lens"]["p"] + 1, "q": doc["lens"]["q"]}
@@ -229,7 +234,18 @@ def _cache_dir(root: Path, kind, argv):
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(data=st.data(), fmt=_format, cache=st.sampled_from(_CACHES))
 def test_cli_contract_over_token_grammar(leaf, data, fmt, cache):
-    argv = data.draw(LEAVES[leaf], label="argv")
+    _check_twice(data.draw(LEAVES[leaf], label="argv"), fmt, cache)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(argv=LEAVES["classify"], fmt=_format)
+def test_cli_contract_over_malformed_cache_files(argv, fmt):
+    # the grammar's draws rarely pair a valid lens with this kind
+    _check_twice(argv, fmt, "malformed")
+
+
+def _check_twice(argv, fmt, cache):
+    # the contract, and the same bytes from a second run
     with mock.patch.dict(os.environ), tempfile.TemporaryDirectory() as tmp:
         os.environ.pop("NONLOOSE_FORMAT", None)
         if fmt is not None:

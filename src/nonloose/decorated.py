@@ -369,10 +369,6 @@ def _block_pairings(
     return tuple(out)
 
 
-def _paired_euler(pairings: tuple[tuple[int, int], ...], minus_counts: tuple[int, ...]) -> int:
-    return sum(pairing * (size - 2 * minus) for (pairing, size), minus in zip(pairings, minus_counts))
-
-
 def shuffle_euler_on_disk(sc: ShuffleClass, meridian: Slope) -> int:
     """euler_on_disk computed from a shuffle class.
 
@@ -381,4 +377,5 @@ def shuffle_euler_on_disk(sc: ShuffleClass, meridian: Slope) -> int:
     matter.
     """
     lengths, sizes = _signed_sizes(sc.path, sc.unsigned_positions)
-    return _paired_euler(_block_pairings(sc.path, lengths, sizes, meridian), sc.minus_counts)
+    pairings = _block_pairings(sc.path, lengths, sizes, meridian)
+    return sum(pairing * (size - 2 * minus) for (pairing, size), minus in zip(pairings, sc.minus_counts))

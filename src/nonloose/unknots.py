@@ -32,7 +32,8 @@ merged edge then starts the new first block: alone (minus count e*t_0)
 when both paths have as many blocks, else joined to the old second block
 (e*(t_0 - n_1) + a_1).  Later blocks keep their counts.  This is the
 block and shuffle structure of Honda's classification of tight solid
-tori (Geom. Topol. 4 (2000) 309-368).
+tori (Geom. Topol. 4 (2000) 309-368).  classify builds s_{k_max} -> 0
+once and derives each lower level from the one above, as stabilize does.
 """
 
 from __future__ import annotations
@@ -42,22 +43,24 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import getitem
 from typing import NamedTuple, Optional
 
 from .cfrac import ancestor, expand
 from .decorated import (
     ClassificationError,
+    DecorationError,
     LensSpace,
     ShuffleClass,
     Sign,
     UpperSolidTorus,
     _block_pairings,
     _context_data,
-    _paired_euler,
     _shuffle_counts,
     _signed_sizes,
 )
-from .farey import INFINITY, ZERO, Slope, iterated_sum
+from .farey import INFINITY, ZERO, Slope, dot, farey_diff, iterated_sum
 
 
 @dataclass(frozen=True)
@@ -148,18 +151,52 @@ def _euler_rep(x: int, p: int) -> int:
     return x
 
 
-def _level_classes(lens: LensSpace, knot: KnotId, k: int, choose=_shuffle_counts) -> tuple:
-    # the classes of level k with the minus counts choose(signed block sizes)
-    # yields, their rots times p, and those sizes; the complement path is
-    # s_k -> 0 with its last edge unsigned, and tb times p is |num s_k|
-    path, unsigned = _context_data(UpperSolidTorus(ZERO, slope_k(lens, knot, k)))
+class _Level(NamedTuple):
+    # a path s_k -> 0, last edge unsigned; per block: edges, signed edges, (pairing with 0, signed size)
+    path: tuple[Slope, ...]
+    lengths: tuple[int, ...]
+    sizes: tuple[int, ...]
+    pairings: tuple[tuple[int, int], ...]
+
+
+def _level(s: Slope) -> _Level:
+    # the level with dividing slope s, from its minimal complement path
+    path, unsigned = _context_data(UpperSolidTorus(ZERO, s))
     lengths, sizes = _signed_sizes(path, unsigned)
-    pairings = _block_pairings(path, lengths, sizes, ZERO)
+    return _Level(path, lengths, sizes, _block_pairings(path, lengths, sizes, ZERO))
+
+
+def _level_below(path: tuple[Slope, ...], lengths: tuple[int, ...], sizes: tuple[int, ...], meridian: Slope) -> _Level:
+    # one level down: s_{k-1} (s_k less the meridian's vector), then the path
+    # from the end of the first block (module docstring).  The new edge joins
+    # the old second block if its outer vertices pair to +-2 as in
+    # cfrac._block_lengths, else is a block alone, unsigned if it is the last.
+    # Later blocks were read at this level, so only a joined block is checked
+    # and each pairing is its block's first edge's
+    s = Slope(path[0].num - meridian.num, path[0].den - meridian.den)
+    path, lengths, sizes = (s,) + path[lengths[0] :], lengths[1:], sizes[1:]
+    if lengths and dot(s, path[2]) in (2, -2):
+        if farey_diff(path[1], s) != farey_diff(path[2], path[1]):
+            raise DecorationError("block crosses an infinity representative change")
+        lengths, sizes = (lengths[0] + 1,) + lengths[1:], (sizes[0] + 1,) + sizes[1:]
+    else:
+        lengths, sizes = (1,) + lengths, (1 if sizes else 0,) + sizes
+    pairings = tuple((path[i + 1].num - path[i].num, n) for i, n in zip(accumulate(lengths, initial=0), sizes))
+    return _Level(path, lengths, sizes, pairings)
+
+
+def _level_classes(lens: LensSpace, knot: KnotId, k: int, level=None, choose=_shuffle_counts) -> tuple:
+    # level k's classes (from scratch unless given) for the minus counts that
+    # choose(sizes) yields, their rots times p, and the sizes; tb times p is
+    # |num s_k|, and e_disk adds one table entry per block
+    path, _, sizes, pairings = level or _level(slope_k(lens, knot, k))
     p, orient = lens.p, 1 if knot.positive else -1
     tb_q = Fraction(abs(path[0].num), p)
+    unsigned = (len(path) - 2,)
+    tables = [[w * (size - 2 * m) for m in range(size + 1)] for w, size in pairings]
     classes, rots = [], []
     for counts in choose(sizes):
-        e_disk = _paired_euler(pairings, counts)
+        e_disk = sum(map(getitem, tables, counts))
         rot = orient * e_disk
         sc = ShuffleClass(path, counts, unsigned)
         classes.append(NonLooseClass(lens, knot, path[0], sc, tb_q, Fraction(rot, p), _euler_rep(-e_disk, p), k))
@@ -178,11 +215,6 @@ def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClas
     return _level_classes(lens, knot, k)[0]
 
 
-def _level_sizes(path: tuple[Slope, ...]) -> tuple[int, ...]:
-    # signed block sizes of a complement path s_k -> 0, last edge unsigned
-    return _signed_sizes(path, (len(path) - 2,))[1]
-
-
 # by knot orientation, the sign each knot stabilization puts on the positive
 # representative's complement, listed in that representative's arm order
 _COMPLEMENT_SIGN = {
@@ -195,8 +227,8 @@ def _stabilized_counts(
     counts: tuple[int, ...], sign: Sign, sizes: tuple[int, ...], below: tuple[int, ...]
 ) -> Optional[tuple[int, ...]]:
     # minus counts of the stabilized class one level down, None if loose;
-    # sizes and below are the _level_sizes of the complement paths at the
-    # class's level and one level down
+    # sizes and below are the signed block sizes of the complement paths at
+    # the class's level and one level down
     eps = 1 if sign is Sign.MINUS else 0
     if counts[0] != eps * sizes[0]:
         return None
@@ -220,15 +252,11 @@ def stabilize(c: NonLooseClass, sign: Sign) -> Optional[NonLooseClass]:
         raise ClassificationError("stabilization sign must be PLUS or MINUS")
     if c.k == 0:
         return None
+    lengths, sizes = _signed_sizes(c.complement.path, c.complement.unsigned_positions)
+    below = _level_below(c.complement.path, lengths, sizes, _work_meridian(c.lens, c.knot))
     on_complement = _COMPLEMENT_SIGN[c.knot.positive][sign]
-    sizes = _level_sizes(c.complement.path)
-
-    def stabilized(below: tuple[int, ...]) -> tuple:
-        counts = _stabilized_counts(c.complement.minus_counts, on_complement, sizes, below)
-        return () if counts is None else (counts,)
-
-    classes = _level_classes(c.lens, c.knot, c.k - 1, stabilized)[0]
-    return classes[0] if classes else None
+    counts = _stabilized_counts(c.complement.minus_counts, on_complement, sizes, below.sizes)
+    return None if counts is None else _level_classes(c.lens, c.knot, c.k - 1, below, lambda _: (counts,))[0][0]
 
 
 class RangeKind(Enum):
@@ -344,8 +372,12 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
     """
     if k_max < 3:
         raise ClassificationError("k_max must be at least 3 to certify arm patterns")
+    levels, meridian = [_level(slope_k(lens, knot, k_max))], _work_meridian(lens, knot)
+    for _ in range(k_max):  # levels k_max - 1 down to 0, each from the one above
+        above = levels[-1]
+        levels.append(_level_below(above.path, above.lengths, above.sizes, meridian))
     # per level k: its classes, their rots times p, its signed block sizes
-    classes, rots, sizes = zip(*(_level_classes(lens, knot, k) for k in range(k_max + 1)))
+    classes, rots, sizes = zip(*(_level_classes(lens, knot, k, level) for k, level in enumerate(reversed(levels))))
     signs = _COMPLEMENT_SIGN[knot.positive].items()
     # preds[k][(minus counts on level k, sign)]: indices of the level k + 1 classes stabilizing there
     preds: list[dict[tuple, list[int]]] = [{} for _ in range(k_max)]

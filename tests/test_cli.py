@@ -150,6 +150,31 @@ def test_malformed_cache_files_are_misses(tmp_path):
     assert path.read_text() == compact
 
 
+def test_cache_header_matches_in_type_as_well_as_value(tmp_path):
+    # a header equal to the request only under == (3.0 for 3, true for 1)
+    # is a miss: recomputed, rewritten and printed as a cold run prints it
+    cases = [
+        (["5", "2"], lambda doc: doc.update(k_max=3.0)),
+        (["5", "2"], lambda doc: doc["lens"].update(p=5.0)),
+        (["5", "2"], lambda doc: doc["lens"].update(q=2.0)),
+        (["3", "1"], lambda doc: doc["lens"].update(q=True)),
+        (["1", "1"], lambda doc: doc["lens"].update(p=True)),
+        (["1", "1"], lambda doc: doc.update(lens={"p": 1.0, "q": True}, k_max=3.0)),
+    ]
+    for lens, defect in cases:
+        query = ["classify", *lens, "--kmax", "3"]
+        cold = {fmt: invoke(query + ["--format", fmt]) for fmt in FORMATS}
+        assert invoke(query + ["--cache-dir", str(tmp_path)])[0] == 0
+        (path,) = tmp_path.glob(f"classify-*-{lens[0]}-{lens[1]}-K0-3.json")
+        compact = path.read_text()
+        doc = json.loads(compact)
+        defect(doc)
+        for fmt in FORMATS:
+            path.write_text(json.dumps(doc))
+            assert invoke(query + ["--format", fmt, "--cache-dir", str(tmp_path)]) == cold[fmt], (lens, doc, fmt)
+            assert path.read_text() == compact
+
+
 def test_classify_cache_warm_hit_skips_classification(tmp_path, monkeypatch):
     args = ["classify", "5", "2", "--format", "table", "--cache-dir", str(tmp_path)]
     cold = invoke(args)

@@ -244,8 +244,21 @@ def test_cli_contract_over_malformed_cache_files(argv, fmt):
     _check_twice(argv, fmt, "malformed")
 
 
+@pytest.mark.parametrize("cache", _CACHES)
+@pytest.mark.parametrize("fmt", (None, *FORMATS))
+def test_cli_contract_over_every_cache_kind(cache, fmt):
+    # each kind on a valid lens, so every prepared kind holds its file; the
+    # output is a cold run's, or exit 1 where the cache dir cannot be made
+    argv = ["classify", "7", "3", "--knot", "-K1", "--kmax", "4"]
+    result = _check_twice(argv, fmt, cache)
+    if cache in ("file", "under-file"):
+        assert result[0] == 1, result
+    else:
+        assert result == _check_twice(argv, fmt, None)
+
+
 def _check_twice(argv, fmt, cache):
-    # the contract, and the same bytes from a second run
+    # the contract, and the same bytes from a second run; returns the run
     with mock.patch.dict(os.environ), tempfile.TemporaryDirectory() as tmp:
         os.environ.pop("NONLOOSE_FORMAT", None)
         if fmt is not None:
@@ -256,6 +269,7 @@ def _check_twice(argv, fmt, cache):
         _check_contract(argv, first)
         assert invoke(argv) == first, argv
         assert not list(Path(tmp).glob("**/.classify-*.tmp"))
+    return first
 
 
 def test_cache_replace_failure_removes_the_temp_file(tmp_path, monkeypatch):

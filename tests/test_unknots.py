@@ -363,13 +363,14 @@ def _rule_matches_search(lens, knot, k_min, k_max):
     # class at levels k_min..k_max (k_min >= 1), for both signs
     from oracles import stabilized_counts_by_search
 
-    from nonloose.unknots import _level_sizes, _stabilized_counts
+    from nonloose.decorated import _signed_sizes
+    from nonloose.unknots import _stabilized_counts
 
     checked = 0
     below = classes_at_slope(lens, knot, k_min - 1)
     for k in range(k_min, k_max + 1):
         level = classes_at_slope(lens, knot, k)
-        sizes, below_sizes = (_level_sizes(cs[0].complement.path) for cs in (level, below))
+        sizes, below_sizes = (_signed_sizes(cs[0].complement.path, cs[0].complement.unsigned_positions)[1] for cs in (level, below))
         for c in level:
             for sign in (Sign.PLUS, Sign.MINUS):
                 finals = stabilized_counts_by_search(c, sign)
@@ -733,3 +734,79 @@ def test_classification_error_lists_stabilization_problems(monkeypatch):
         with pytest.raises(ClassificationError) as info:
             classify(LensSpace(2, 1), knot, 3)
         assert info.value.problems == want
+
+
+def _derived_levels(lens, knot, k_max):
+    # levels k_max - 1 down to 0 by _level_below from level k_max, each
+    # compared with the level built from scratch (path, block lengths,
+    # signed sizes and Euler pairings)
+    from nonloose.unknots import _level, _level_below, _work_meridian
+
+    level, meridian = _level(slope_k(lens, knot, k_max)), _work_meridian(lens, knot)
+    for k in range(k_max - 1, -1, -1):
+        level = _level_below(level.path, level.lengths, level.sizes, meridian)
+        assert level == _level(slope_k(lens, knot, k)), (str(lens), str(knot), k)
+    return k_max
+
+
+def test_derived_levels_match_levels_built_from_scratch():
+    derived = 0
+    for p in range(1, 61):
+        for q in range(1, max(p, 2)):
+            if gcd(p, q) == 1:
+                for knot in (K0, K1):
+                    derived += _derived_levels(LensSpace(p, q), knot, 6)
+    for knot in (K0, K1):
+        derived += _derived_levels(LensSpace(5, 2), knot, 800)
+        derived += _derived_levels(LensSpace(1000, 377), knot, 8)
+    for p in range(2, 201):
+        derived += _derived_levels(LensSpace(p, 1), K0, 3)
+    assert derived == 6 * 2 * 1102 + 2 * 808 + 3 * 199
+
+
+def test_derived_level_checks_a_joined_block_like_the_block_reader():
+    # s_{k-1} = 1/0 joins the block -1 -> -1/2, whose edge class differs
+    # from the new edge's under the canonical infinity: both readers refuse
+    from nonloose.decorated import DecorationError, _block_pairings, _signed_sizes
+    from nonloose.farey import ZERO
+    from nonloose.unknots import _level_below
+
+    path = (INFINITY, Slope(-1), Slope(-1, 2), ZERO)
+    lengths, sizes = _signed_sizes(path, (2,))
+    with pytest.raises(DecorationError, match="infinity representative"):
+        _block_pairings(path, lengths, sizes, ZERO)
+    above = (Slope(-2),) + path[1:]
+    lengths, sizes = _signed_sizes(above, (2,))
+    assert lengths == (1, 1, 1)
+    with pytest.raises(DecorationError, match="infinity representative"):
+        _level_below(above, lengths, sizes, Slope(-3))
+
+
+def _count_minimal_paths(monkeypatch):
+    # every minimal path the engine finds, where decorated looks it up
+    from nonloose import decorated
+
+    calls, find = [], decorated._minimal_vertices
+
+    def counting(r, s):
+        calls.append((r, s))
+        return find(r, s)
+
+    monkeypatch.setattr(decorated, "_minimal_vertices", counting)
+    return calls
+
+
+def test_classify_finds_one_minimal_path_per_call(monkeypatch):
+    calls = _count_minimal_paths(monkeypatch)
+    for lens, k_max in ((LensSpace(1, 1), 3), (LensSpace(5, 2), 40), (LensSpace(13, 5), 5), (LensSpace(30, 1), 3)):
+        for knot in (K0, KnotId("K0", False), K1, KnotId("K1", False)):
+            calls.clear()
+            classify(lens, knot, k_max)
+            assert calls == [(slope_k(lens, knot, k_max), Slope(0))], (str(lens), str(knot))
+
+
+def test_stabilize_finds_no_minimal_path(monkeypatch):
+    levels = [classes_at_slope(LensSpace(13, 5), knot, k) for knot in (K0, KnotId("K1", False)) for k in range(4)]
+    calls = _count_minimal_paths(monkeypatch)
+    stabilized = [stabilize(c, sign) for level in levels for c in level for sign in (Sign.PLUS, Sign.MINUS)]
+    assert calls == [] and any(stabilized) and None in stabilized

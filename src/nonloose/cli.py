@@ -41,6 +41,7 @@ from .decorated import (
 )
 from .farey import Slope, dot, farey_sum, has_edge
 from .unknots import (
+    Existence,
     Flavor,
     KnotId,
     LensSpace,
@@ -189,7 +190,7 @@ def _build_parser() -> _Parser:
     ex.add_argument("--in-ball", action="store_true")
     ex.add_argument("--ambient", default=None)
     ex.add_argument("--summand-tight", default=None, choices=["yes", "no"])
-    ex.set_defaults(run=_run_exists)
+    ex.set_defaults(run=_line(_exists))
     return top
 
 
@@ -291,7 +292,7 @@ def _positive_cable(args) -> dict:
     return {**asdict(inv), "sl": self_linking(inv)}
 
 
-def _run_exists(args, out) -> None:
+def _exists(args) -> Existence:
     summand = None if args.summand_tight is None else args.summand_tight == "yes"
     facts = TopologyFacts(
         intersects_essential_sphere_once=args.sphere_once,
@@ -301,7 +302,7 @@ def _run_exists(args, out) -> None:
         contained_in_ball=args.in_ball,
         ambient=args.ambient,
     )
-    out.write(f"{admits_nonloose(facts, Flavor(args.flavor))}\n")
+    return admits_nonloose(facts, Flavor(args.flavor))
 
 
 def _attach_knot_values(argv: list[str]) -> list[str]:

@@ -352,30 +352,3 @@ def euler_on_disk(d: DecoratedPath, meridian: Slope) -> int:
     the 0-meridian gives +1.
     """
     return cross(relative_euler(d), meridian)
-
-
-def _block_pairings(
-    vertices: tuple[Slope, ...], lengths: tuple[int, ...], sizes: tuple[int, ...], meridian: Slope
-) -> tuple[tuple[int, int], ...]:
-    # (pairing of the block's edge class with the meridian, signed size)
-    # per block, from the lengths and sizes _signed_sizes gives
-    out = []
-    edges = zip(vertices, vertices[1:])
-    for n, size in zip(lengths, sizes):
-        diffs = {farey_diff(b, a) for a, b in islice(edges, n)}
-        if len(diffs) != 1:
-            raise DecorationError("block crosses an infinity representative change")
-        out.append((cross(diffs.pop(), meridian), size))
-    return tuple(out)
-
-
-def shuffle_euler_on_disk(sc: ShuffleClass, meridian: Slope) -> int:
-    """euler_on_disk computed from a shuffle class.
-
-    Well defined because all edges of one continued fraction block share
-    the same endpoint difference, so only the per-block sign totals
-    matter.
-    """
-    lengths, sizes = _signed_sizes(sc.path, sc.unsigned_positions)
-    pairings = _block_pairings(sc.path, lengths, sizes, meridian)
-    return sum(pairing * (size - 2 * minus) for (pairing, size), minus in zip(pairings, sc.minus_counts))

@@ -55,7 +55,6 @@ from .decorated import (
     ShuffleClass,
     Sign,
     UpperSolidTorus,
-    _block_pairings,
     _context_data,
     _shuffle_counts,
     _signed_sizes,
@@ -159,11 +158,19 @@ class _Level(NamedTuple):
     pairings: tuple[tuple[int, int], ...]
 
 
+def _level_pairings(path: tuple[Slope, ...], lengths: tuple[int, ...], sizes: tuple[int, ...]) -> tuple:
+    # per block, (its first edge's pairing with the meridian 0, its signed
+    # size); all edges of a block share one endpoint difference
+    return tuple((path[i + 1].num - path[i].num, n) for i, n in zip(accumulate(lengths, initial=0), sizes))
+
+
 def _level(s: Slope) -> _Level:
-    # the level with dividing slope s, from its minimal complement path
+    # the level with dividing slope s, from its minimal complement path.  The
+    # path runs clockwise from s to 0 through the negative slopes, so 1/0 can
+    # only start it, as the single edge 1/0 -> 0: no block crosses infinity
     path, unsigned = _context_data(UpperSolidTorus(ZERO, s))
     lengths, sizes = _signed_sizes(path, unsigned)
-    return _Level(path, lengths, sizes, _block_pairings(path, lengths, sizes, ZERO))
+    return _Level(path, lengths, sizes, _level_pairings(path, lengths, sizes))
 
 
 def _level_below(path: tuple[Slope, ...], lengths: tuple[int, ...], sizes: tuple[int, ...], meridian: Slope) -> _Level:
@@ -172,7 +179,6 @@ def _level_below(path: tuple[Slope, ...], lengths: tuple[int, ...], sizes: tuple
     # the old second block if its outer vertices pair to +-2 as in
     # cfrac._block_lengths, else is a block alone, unsigned if it is the last.
     # Later blocks were read at this level, so only a joined block is checked
-    # and each pairing is its block's first edge's
     s = Slope(path[0].num - meridian.num, path[0].den - meridian.den)
     path, lengths, sizes = (s,) + path[lengths[0] :], lengths[1:], sizes[1:]
     if lengths and dot(s, path[2]) in (2, -2):
@@ -181,8 +187,7 @@ def _level_below(path: tuple[Slope, ...], lengths: tuple[int, ...], sizes: tuple
         lengths, sizes = (lengths[0] + 1,) + lengths[1:], (sizes[0] + 1,) + sizes[1:]
     else:
         lengths, sizes = (1,) + lengths, (1 if sizes else 0,) + sizes
-    pairings = tuple((path[i + 1].num - path[i].num, n) for i, n in zip(accumulate(lengths, initial=0), sizes))
-    return _Level(path, lengths, sizes, pairings)
+    return _Level(path, lengths, sizes, _level_pairings(path, lengths, sizes))
 
 
 def _level_classes(lens: LensSpace, knot: KnotId, k: int, level=None, choose=_shuffle_counts) -> tuple:

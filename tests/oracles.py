@@ -11,7 +11,11 @@ keep the package's earlier tightness decision: a search over removal masks
 and per-block minus counts that returns every minimal-path class it
 reaches, where the package now takes one walk of consistent shortenings.
 `classification_json_by_dumps` keeps the package's earlier JSON renderer,
-the general-purpose `json.dumps` encoder.
+the general-purpose `json.dumps` encoder.  `_block_pairings` and
+`shuffle_euler_on_disk` keep the package's earlier Euler evaluation: each
+block's edge class, read as the set of its edges' endpoint differences,
+paired with the meridian, where the package now reads one pairing per
+block from its first edge.
 """
 
 from __future__ import annotations
@@ -20,18 +24,20 @@ import json
 from collections import Counter, deque
 from dataclasses import replace
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd
 from operator import itemgetter
 from typing import Optional
 
 from nonloose.cfrac import ContinuedFraction, _minimal_vertices, expand, value
-from nonloose.decorated import Sign, _signed_sizes
+from nonloose.decorated import DecorationError, ShuffleClass, Sign, _signed_sizes
 from nonloose.farey import (
     INFINITY,
     FareyError,
     Slope,
+    cross,
     dot,
+    farey_diff,
     farey_sum,
     has_edge,
 )
@@ -526,6 +532,33 @@ def flip_orientation(mr: MountainRange) -> MountainRange:
 def classification_json_by_dumps(payload: dict) -> str:
     """The JSON atlas as the general-purpose encoder lays it out."""
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _block_pairings(
+    vertices: tuple[Slope, ...], lengths: tuple[int, ...], sizes: tuple[int, ...], meridian: Slope
+) -> tuple[tuple[int, int], ...]:
+    # (pairing of the block's edge class with the meridian, signed size)
+    # per block, from the lengths and sizes _signed_sizes gives
+    out = []
+    edges = zip(vertices, vertices[1:])
+    for n, size in zip(lengths, sizes):
+        diffs = {farey_diff(b, a) for a, b in islice(edges, n)}
+        if len(diffs) != 1:
+            raise DecorationError("block crosses an infinity representative change")
+        out.append((cross(diffs.pop(), meridian), size))
+    return tuple(out)
+
+
+def shuffle_euler_on_disk(sc: ShuffleClass, meridian: Slope) -> int:
+    """euler_on_disk computed from a shuffle class.
+
+    Well defined because all edges of one continued fraction block share
+    the same endpoint difference, so only the per-block sign totals
+    matter.
+    """
+    lengths, sizes = _signed_sizes(sc.path, sc.unsigned_positions)
+    pairings = _block_pairings(sc.path, lengths, sizes, meridian)
+    return sum(pairing * (size - 2 * minus) for (pairing, size), minus in zip(pairings, sc.minus_counts))
 
 
 # --- concrete decorated-path machinery, independent of the package's ---

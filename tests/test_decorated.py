@@ -19,10 +19,9 @@ from nonloose.decorated import (
     is_tight,
     relative_euler,
     shorten_once,
-    shuffle_euler_on_disk,
 )
 from nonloose.farey import INFINITY, ZERO, FareyError, SignedVector, Slope
-from oracles import count_by_orbits, tight_by_search
+from oracles import count_by_orbits, shuffle_euler_on_disk, tight_by_search
 
 P, M, U = Sign.PLUS, Sign.MINUS, Sign.UNSIGNED
 

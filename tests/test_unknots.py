@@ -767,7 +767,9 @@ def test_derived_levels_match_levels_built_from_scratch():
 def test_derived_level_checks_a_joined_block_like_the_block_reader():
     # s_{k-1} = 1/0 joins the block -1 -> -1/2, whose edge class differs
     # from the new edge's under the canonical infinity: both readers refuse
-    from nonloose.decorated import DecorationError, _block_pairings, _signed_sizes
+    from oracles import _block_pairings
+
+    from nonloose.decorated import DecorationError, _signed_sizes
     from nonloose.farey import ZERO
     from nonloose.unknots import _level_below
 
@@ -810,3 +812,96 @@ def test_stabilize_finds_no_minimal_path(monkeypatch):
     calls = _count_minimal_paths(monkeypatch)
     stabilized = [stabilize(c, sign) for level in levels for c in level for sign in (Sign.PLUS, Sign.MINUS)]
     assert calls == [] and any(stabilized) and None in stabilized
+
+
+def _levels_from_the_top(lens, knot, k_max):
+    # level k_max built from scratch, then each level below derived from it
+    from nonloose.unknots import _level, _level_below, _work_meridian
+
+    level, meridian = _level(slope_k(lens, knot, k_max)), _work_meridian(lens, knot)
+    yield level
+    for _ in range(k_max):
+        level = _level_below(level.path, level.lengths, level.sizes, meridian)
+        yield level
+
+
+def test_level_pairings_match_the_block_pairing_oracle():
+    # both level builders read each pairing from the block's first edge; the
+    # oracle reads it from the set of all the block's edge differences
+    from oracles import _block_pairings
+
+    from nonloose.farey import ZERO
+
+    corpus = [
+        (LensSpace(p, q), knot, 6)
+        for p in range(1, 61)
+        for q in range(1, max(p, 2))
+        if gcd(p, q) == 1
+        for knot in (K0, K1)
+    ]
+    corpus += [(LensSpace(5, 2), knot, 800) for knot in (K0, K1)]
+    corpus += [(LensSpace(1000, 377), knot, 8) for knot in (K0, K1)]
+    corpus += [(LensSpace(p, 1), K0, 3) for p in range(2, 201)]
+    levels = 0
+    for lens, knot, k_max in corpus:
+        for level in _levels_from_the_top(lens, knot, k_max):
+            want = _block_pairings(level.path, level.lengths, level.sizes, ZERO)
+            assert level.pairings == want, (str(lens), str(knot), len(level.path))
+            levels += 1
+    assert levels == 7 * 2 * 1102 + 2 * 801 + 2 * 9 + 4 * 199
+
+
+def _classified_members(p_max):
+    # every member of classify at k_max 3 on all four oriented cores of every
+    # coprime L(p, q) with p <= p_max
+    for p in range(1, p_max + 1):
+        for q in range(1, max(p, 2)):
+            if gcd(p, q) == 1:
+                for knot in (K0, KnotId("K0", False), K1, KnotId("K1", False)):
+                    for mr in classify(LensSpace(p, q), knot, 3):
+                        yield from mr.members
+
+
+def _assert_euler_data(c, e):
+    # e is the Euler class of c's complement on the meridian disk
+    from oracles import euler_rep_by_subtraction
+
+    assert c.rot_q * c.lens.p == (e if c.knot.positive else -e), c.class_id
+    assert c.euler == euler_rep_by_subtraction(-e, c.lens.p), c.class_id
+
+
+def test_classify_euler_data_matches_the_shuffle_class_oracle():
+    from oracles import shuffle_euler_on_disk
+
+    from nonloose.farey import ZERO
+
+    members = 0
+    for m in _classified_members(30):
+        c = m.cls
+        e = shuffle_euler_on_disk(c.complement, ZERO)
+        _assert_euler_data(c, e)
+        members += 1
+    assert members == 58304
+
+
+def test_classify_euler_data_matches_an_explicit_decoration():
+    # one decoration per class: in each block the first m signed edges minus,
+    # the rest plus, the last edge unsigned
+    from oracles import blocks_of
+
+    from nonloose.cfrac import FareyPath
+    from nonloose.decorated import DecoratedPath, euler_on_disk
+    from nonloose.farey import ZERO
+
+    members = 0
+    for m in _classified_members(13):
+        c = m.cls
+        path, last = c.complement.path, len(c.complement.path) - 2
+        signs = [Sign.UNSIGNED] * (last + 1)
+        for block, minus in zip(blocks_of(path), c.complement.minus_counts):
+            for n, edge in enumerate(x for x in block if x != last):
+                signs[edge] = Sign.MINUS if n < minus else Sign.PLUS
+        e = euler_on_disk(DecoratedPath(FareyPath(path), tuple(signs)), ZERO)
+        _assert_euler_data(c, e)
+        members += 1
+    assert members == 7020

@@ -10,6 +10,7 @@ its farthest clockwise neighbor inside the remaining arc, read off after
 a determinant-one change of basis sends the vertex to infinity.  Adjacent
 slopes pair to determinant one, so each vertex's basis is built from the
 coordinates of the vertex before it; only the first needs an inverse.
+The pairing also makes each vertex primitive: it is built with no gcd.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from typing import NoReturn
 
-from .farey import INFINITY, FareyError, Slope
+from .farey import INFINITY, FareyError, Slope, _primitive
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +112,8 @@ def value(cf: ContinuedFraction) -> Slope:
     num, den = cf.coeffs[-1], 1
     for a in reversed(cf.coeffs[:-1]):
         num, den = a * num - den, num
-    return Slope(num, den)
+    # consecutive convergents pair to +-1
+    return _primitive(num, den)
 
 
 def _larger_parent(s: Slope) -> tuple[int, int]:
@@ -129,9 +131,8 @@ def successor(s: Slope) -> Slope:
     n gives n + 1.
     """
     u, v = _larger_parent(s)
-    if v == 0:
-        return Slope(s.num + 1)
-    return Slope(u, v)
+    # a Farey parent pairs to -1 with s
+    return _primitive(s.num + 1, 1) if v == 0 else _primitive(u, v)
 
 
 def ancestor(s: Slope) -> Slope:
@@ -144,7 +145,8 @@ def ancestor(s: Slope) -> Slope:
     u, v = _larger_parent(s)
     if v == 0:
         return INFINITY
-    return Slope(s.num - u, s.den - v)
+    # a Farey parent pairs to +1 with s
+    return _primitive(s.num - u, s.den - v)
 
 
 def _minimal_vertices(r: Slope, s: Slope) -> tuple[Slope, ...]:
@@ -155,7 +157,8 @@ def _minimal_vertices(r: Slope, s: Slope) -> tuple[Slope, ...]:
     # M = [[x, y], [-vd, vn]] with x*vn + y*vd = 1 sends v to infinity,
     # whose neighbors are the integers, and s to (x*sn + y*sd)/dot(v, s);
     # the next vertex is w = M^-1 (floor(M s), 1).  As dot(v, w) = 1, the
-    # unreduced pair (-vd, vn) is the next (x, y): no Euclid per vertex
+    # unreduced pair (-vd, vn) is the next (x, y): no Euclid per vertex, and
+    # no gcd either, as w is built in canonical form
     x = pow(vn, -1, vd) if vd else 1
     y = (1 - x * vn) // vd if vd else 0
     d = vn * sd - vd * sn
@@ -165,7 +168,7 @@ def _minimal_vertices(r: Slope, s: Slope) -> tuple[Slope, ...]:
     while d != 1 and d != -1:
         n = (x * sn + y * sd) // d
         vn, vd, x, y = vn * n - y, vd * n + x, -vd, vn
-        out.append(Slope(vn, vd))
+        out.append(_primitive(vn, vd))  # consecutive walk vertices pair to +-1
         if len(out) >= limit:
             raise FareyError("runaway minimal path")
         d = vn * sd - vd * sn

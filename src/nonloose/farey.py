@@ -7,7 +7,8 @@ increasing, infinity, and then the negative rationals increasing back
 toward 0.  Every comparison is an exact integer cross-multiplication;
 no floating point is ever used.  The value types are slotted frozen
 dataclasses: no per-instance dict, and a slope's hash is computed from
-its pair when asked for, never stored.
+its pair when asked for, never stored.  A path vertex, primitive by its
+Farey edges, is built in canonical form with no gcd (_primitive).
 """
 
 from __future__ import annotations
@@ -73,6 +74,19 @@ class Slope:
 
 INFINITY = Slope(1, 0)
 ZERO = Slope(0, 1)
+_new, _set_num, _set_den = object.__new__, Slope.num.__set__, Slope.den.__set__
+
+
+def _primitive(num: int, den: int) -> Slope:
+    # Slope(num, den) for a pair the caller proves primitive, with no gcd
+    if den <= 0:
+        if den == 0:
+            return INFINITY
+        num, den = -num, -den
+    s = _new(Slope)
+    _set_num(s, num)
+    _set_den(s, den)
+    return s
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,8 +152,9 @@ def farey_sum(x: Slope, y: Slope) -> Slope:
     if x.is_infinite or y.is_infinite:
         f = y if x.is_infinite else x
         inf_num = 1 if f.num >= 0 else -1
-        return Slope(f.num + inf_num, f.den)
-    return Slope(x.num + y.num, x.den + y.den)
+        # a mediant of Farey neighbours pairs to +-1 with each of them
+        return _primitive(f.num + inf_num, f.den)
+    return _primitive(x.num + y.num, x.den + y.den)
 
 
 def iterated_sum(x: Slope, k: int, y: Slope) -> Slope:
@@ -154,7 +169,8 @@ def iterated_sum(x: Slope, k: int, y: Slope) -> Slope:
         return x
     first = farey_sum(x, y)
     a, b = ((1 if first.num >= 0 else -1), 0) if y.is_infinite else (y.num, y.den)
-    return Slope(first.num + (k - 1) * a, first.den + (k - 1) * b)
+    # x (+) k*y pairs to +-1 with y, as first does
+    return _primitive(first.num + (k - 1) * a, first.den + (k - 1) * b)
 
 
 def farey_diff(x: Slope, y: Slope) -> SignedVector:

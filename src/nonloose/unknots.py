@@ -59,7 +59,7 @@ from .decorated import (
     _shuffle_counts,
     _signed_sizes,
 )
-from .farey import INFINITY, ZERO, Slope, dot, farey_diff, iterated_sum
+from .farey import INFINITY, ZERO, Slope, _primitive, dot, farey_diff, iterated_sum
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,8 @@ def _level_below(path: tuple[Slope, ...], lengths: tuple[int, ...], sizes: tuple
     # the old second block if its outer vertices pair to +-2 as in
     # cfrac._block_lengths, else is a block alone, unsigned if it is the last.
     # Later blocks were read at this level, so only a joined block is checked
-    s = Slope(path[0].num - meridian.num, path[0].den - meridian.den)
+    # s_{k-1} = s_k - meridian pairs to +-1 with the meridian
+    s = _primitive(path[0].num - meridian.num, path[0].den - meridian.den)
     path, lengths, sizes = (s,) + path[lengths[0] :], lengths[1:], sizes[1:]
     if lengths and dot(s, path[2]) in (2, -2):
         if farey_diff(path[1], s) != farey_diff(path[2], path[1]):

@@ -15,14 +15,17 @@ the general-purpose `json.dumps` encoder.  `_block_pairings` and
 `shuffle_euler_on_disk` keep the package's earlier Euler evaluation: each
 block's edge class, read as the set of its edges' endpoint differences,
 paired with the meridian, where the package now reads one pairing per
-block from its first edge.
+block from its first edge.  `check_canonical_slopes` checks slopes the
+package builds without Slope(...) against the ones Slope(...) builds.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 from collections import Counter, deque
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from functools import cache
 from itertools import accumulate, islice
 from math import gcd
@@ -119,6 +122,35 @@ def check_path_by_arcs(vertices: tuple[Slope, ...]) -> None:
             raise FareyError(f"{v[i - 1]} and {v[i]} are not adjacent")
         if not cw_between_by_order(v[i - 1], v[i], last):
             raise FareyError("path is not traversed clockwise")
+
+
+def check_canonical_slopes(slopes) -> None:
+    """Assert that each slope is a Slope with int fields, equal field for
+    field to Slope(v.num, v.den) and with its hash, and that it behaves as
+    that value does: copy, deepcopy and pickle round-trips, and
+    FrozenInstanceError on assignment.  A Slope is its class and its two
+    slots, so the checks run once per distinct pair, and the round-trips
+    and assignment once per sign of num, finite or infinite."""
+    seen, shapes = set(), set()
+    for v in slopes:
+        assert type(v) is Slope and type(v.num) is int and type(v.den) is int, repr(v)
+        pair = (v.num, v.den)
+        if pair in seen:
+            continue
+        seen.add(pair)
+        c = Slope(*pair)
+        assert pair == (c.num, c.den) and v == c and hash(v) == hash(c), repr(v)
+        shape = ((v.num > 0) - (v.num < 0), v.den == 0)
+        if shape in shapes:
+            continue
+        shapes.add(shape)
+        for clone in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(clone) is Slope and (clone.num, clone.den) == pair and clone == v, repr(v)
+        try:
+            v.num = c.num
+        except FrozenInstanceError:
+            continue
+        raise AssertionError(f"{v!r} accepted an assignment")
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:

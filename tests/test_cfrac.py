@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -20,6 +21,7 @@ from nonloose.farey import INFINITY, ZERO, FareyError, Slope, dot
 from oracles import (
     ancestor_by_expansion,
     bounded_slopes,
+    check_canonical_slopes,
     check_path_by_arcs,
     farthest_larger_neighbor,
     farthest_smaller_neighbor,
@@ -240,9 +242,9 @@ def test_minimal_vertices_match_bezout_oracle():
 
 
 @st.composite
-def big_slopes(draw):
-    num = draw(st.integers(-(10**6), 10**6))
-    den = draw(st.integers(0, 10**6))
+def big_slopes(draw, height=10**6):
+    num = draw(st.integers(-height, height))
+    den = draw(st.integers(0, height))
     return Slope(num, den if num or den else 1)
 
 
@@ -252,6 +254,44 @@ def test_minimal_vertices_match_bezout_oracle_on_large_slopes(r, s):
     # longer paths are left to the 20 001-edge path above
     assume(r != s and minimal_path_length_bound(r, s) <= 50000)
     assert _minimal_vertices(r, s) == minimal_vertices_by_bezout(r, s)
+
+
+def _check_canonical_vertices(pairs):
+    # every vertex of both path builders is the slope Slope(...) would build,
+    # and each path is the oracle's, which reduces every vertex by Euclid
+    built = []
+    for r, s in pairs:
+        fast, path = _minimal_vertices(r, s), minimal_path(r, s).vertices
+        assert fast == path == minimal_vertices_by_bezout(r, s), (r, s)
+        built += (fast, path)
+    check_canonical_slopes(chain.from_iterable(built))
+    return sum(map(len, built)) // 2
+
+
+def test_path_vertices_are_canonical_on_bounded_slopes():
+    pool = bounded_slopes(12)
+    assert _check_canonical_vertices((r, s) for r in pool for s in pool if r != s) > 100_000
+
+
+def test_path_vertices_are_canonical_on_seeded_slopes_to_zero():
+    # slopes -num/den drawn as the calculus benchmark draws them, with paths
+    # to 0 of at most 300 vertices, until 50 000 vertices are built
+    rng, pairs, total = random.Random(7), [], 0
+    while total < 50_000:
+        num = rng.randint(3, 10**6)
+        den = rng.randint(2, num - 1)
+        bound = minimal_path_length_bound(Slope(-num, den), ZERO)
+        if gcd(num, den) == 1 and bound <= 300:
+            pairs.append((Slope(-num, den), ZERO))
+            total += bound
+    assert _check_canonical_vertices(pairs) > 10_000
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(big_slopes(10**9), big_slopes(10**9))
+def test_path_vertices_are_canonical_on_huge_slopes(r, s):
+    assume(r != s and minimal_path_length_bound(r, s) <= 50000)
+    _check_canonical_vertices([(r, s)])
 
 
 def test_parents_match_expansion_oracle():
@@ -277,6 +317,24 @@ def test_parents_match_expansion_oracle_on_large_slopes(s):
     assume(minimal_path_length_bound(INFINITY, s) <= 50000)
     assert successor(s) == successor_by_expansion(s)
     assert ancestor(s) == ancestor_by_expansion(s)
+
+
+def _check_parents_and_value(s):
+    succ, anc, back = successor(s), ancestor(s), value(expand(s))
+    check_canonical_slopes((succ, anc, back))
+    assert succ == successor_by_expansion(s) and anc == ancestor_by_expansion(s) and back == s, s
+
+
+def test_parents_and_values_are_canonical():
+    for s in negative_slopes(120):
+        _check_parents_and_value(s)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(slopes_below_minus_one())
+def test_parents_and_values_are_canonical_on_large_slopes(s):
+    assume(minimal_path_length_bound(INFINITY, s) <= 50000)
+    _check_parents_and_value(s)
 
 
 def test_parents_reject_out_of_range():

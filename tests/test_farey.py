@@ -21,7 +21,7 @@ from nonloose.farey import (
     has_edge,
     iterated_sum,
 )
-from oracles import bounded_slopes, intersection_count
+from oracles import bounded_slopes, check_canonical_slopes, intersection_count, iterated_sum_by_steps
 
 
 @st.composite
@@ -238,3 +238,28 @@ def test_parse_names_of_infinity_and_negative_iteration():
 def test_value_texts():
     assert repr(Slope(-5, 2)) == "Slope(-5, 2)" and repr(INFINITY) == "Slope(1, 0)"
     assert str(SignedVector(3, -1)) == "(3, -1)"
+
+
+def _mediant_by_slope(x, y):
+    # farey_sum's docstring through the reducing constructor: the sum of the
+    # two pairs, with infinity on the finite operand's side
+    if x.is_infinite or y.is_infinite:
+        f = y if x.is_infinite else x
+        return Slope(f.num + (1 if f.num >= 0 else -1), f.den)
+    return Slope(x.num + y.num, x.den + y.den)
+
+
+def test_mediants_are_canonical_and_match_the_step_oracle():
+    pool = bounded_slopes(8)
+    edges = [(x, y) for x in pool for y in pool if x != y and has_edge(x, y)]
+    assert sum(INFINITY in e for e in edges) > 20
+    built = []
+    for x, y in edges:
+        m, ref = farey_sum(x, y), _mediant_by_slope(x, y)
+        assert (m.num, m.den) == (ref.num, ref.den), (x, y)
+        for k in range(6):
+            s = iterated_sum(x, k, y)
+            assert s == iterated_sum_by_steps(x, k, y), (x, k, y)
+            built.append(s)
+        built.append(m)
+    check_canonical_slopes(built)

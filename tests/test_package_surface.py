@@ -7,6 +7,10 @@ when the package reads it anywhere outside its own definition (in its own
 module, in a module that imports it from there, or as module.name), or when
 it is the renderer render.classification_<fmt> of a format in cli.FORMATS,
 which the CLI looks up by format name.
+
+farey._primitive builds a Slope with no gcd, so each of its callers must
+prove its pair primitive; a caller outside the reviewed set fails until
+its proof is reviewed and the set extended.
 """
 
 import ast
@@ -83,3 +87,56 @@ def test_the_surface_scan_applies_each_rule():
         "render": ast.parse("def classification_table(): pass\ndef classification_tex(): pass"),
     }
     assert _unused(modules) == ["a.recursive", "a.X", "a.imported_unread", "b.Y", "render.classification_tex"]
+
+
+# (module, function) of each reviewed caller of farey._primitive; each
+# gives, in a comment at the call, why its pair is primitive
+PRIMITIVE_CALLERS = {
+    ("cfrac", "_minimal_vertices"),
+    ("cfrac", "successor"),
+    ("cfrac", "ancestor"),
+    ("cfrac", "value"),
+    ("farey", "farey_sum"),
+    ("farey", "iterated_sum"),
+    ("unknots", "_level_below"),
+}
+
+
+def _primitive_users(modules: dict) -> set:
+    # (module, innermost enclosing function or "<module>") for each read of
+    # _primitive, called or not, by name or as an attribute
+    users = set()
+
+    def visit(mod, node, scope):
+        for child in ast.iter_child_nodes(node):
+            read = isinstance(child, ast.Name) and child.id == "_primitive" and isinstance(child.ctx, ast.Load)
+            if read or (isinstance(child, ast.Attribute) and child.attr == "_primitive"):
+                users.add((mod, scope))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            visit(mod, child, inner)
+
+    for mod, tree in modules.items():
+        visit(mod, tree, "<module>")
+    return users
+
+
+def test_primitive_slopes_are_built_only_at_reviewed_callers():
+    package = Path(nonloose.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert _primitive_users(modules) == PRIMITIVE_CALLERS
+
+
+def test_the_primitive_scan_finds_every_kind_of_use():
+    modules = {
+        "a": ast.parse(
+            "from .farey import _primitive\n"
+            "class C:\n"
+            "    def parse(self): return _primitive(4, -6)\n"
+            "build = _primitive\n"
+            "def outer():\n"
+            "    def inner(): return farey._primitive(1, 1)\n"
+            "    return inner\n"
+            "def _primitive(num, den): return num, den\n"
+        ),
+    }
+    assert _primitive_users(modules) == {("a", "parse"), ("a", "<module>"), ("a", "inner")}

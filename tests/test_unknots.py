@@ -764,6 +764,29 @@ def test_derived_levels_match_levels_built_from_scratch():
     assert derived == 6 * 2 * 1102 + 2 * 808 + 3 * 199
 
 
+def test_derived_level_starts_at_the_canonical_slope_below():
+    # s_{k-1} is built from s_k less the meridian without a gcd; s_0 is 1/0
+    # whenever the meridian is an integer
+    from oracles import check_canonical_slopes
+
+    from nonloose.unknots import _level, _level_below, _work_meridian
+
+    firsts = []
+    for p in range(1, 31):
+        for q in range(1, max(p, 2)):
+            if gcd(p, q) == 1:
+                lens = LensSpace(p, q)
+                for knot in (K0, K1):
+                    meridian = _work_meridian(lens, knot)
+                    for k in range(1, 7):
+                        above = _level(slope_k(lens, knot, k))
+                        s = _level_below(above.path, above.lengths, above.sizes, meridian).path[0]
+                        assert s == slope_k(lens, knot, k - 1), (str(lens), str(knot), k)
+                        firsts.append(s)
+    assert firsts.count(INFINITY) >= 2 * 29
+    check_canonical_slopes(firsts)
+
+
 def test_derived_level_checks_a_joined_block_like_the_block_reader():
     # s_{k-1} = 1/0 joins the block -1 -> -1/2, whose edge class differs
     # from the new edge's under the canonical infinity: both readers refuse

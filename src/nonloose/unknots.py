@@ -34,6 +34,14 @@ when both paths have as many blocks, else joined to the old second block
 block and shuffle structure of Honda's classification of tight solid
 tori (Geom. Topol. 4 (2000) 309-368).  classify builds s_{k_max} -> 0
 once and derives each lower level from the one above, as stabilize does.
+
+The class records (ShuffleClass, NonLooseClass, RangeMember) are built by
+private builders that set each dataclass field in field order with
+object.__setattr__, skipping the generated __init__; none of these types
+has a __post_init__.  classify keeps its stabilization graph as plain
+indices: per level and sign, a dict from a target's minus counts to the
+index of the one class above stabilizing there (a list once a second
+arrives, which is a branching arm), and one claim mark per class.
 """
 
 from __future__ import annotations
@@ -140,6 +148,32 @@ class NonLooseClass:
         return f"s{self.k}[{counts}]"
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
+def _shuffle_class(path, minus_counts, unsigned_positions) -> ShuffleClass:
+    # ShuffleClass(...) with no dataclass __init__, fields in field order
+    sc = _new(ShuffleClass)
+    _set(sc, "path", path)
+    _set(sc, "minus_counts", minus_counts)
+    _set(sc, "unsigned_positions", unsigned_positions)
+    return sc
+
+
+def _nonloose_class(lens, knot, dividing_slope, complement, tb_q, rot_q, euler, k) -> NonLooseClass:
+    # NonLooseClass(...) with no dataclass __init__, fields in field order
+    c = _new(NonLooseClass)
+    _set(c, "lens", lens)
+    _set(c, "knot", knot)
+    _set(c, "dividing_slope", dividing_slope)
+    _set(c, "complement", complement)
+    _set(c, "tb_q", tb_q)
+    _set(c, "rot_q", rot_q)
+    _set(c, "euler", euler)
+    _set(c, "k", k)
+    return c
+
+
 def _euler_rep(x: int, p: int) -> int:
     # representative of x mod p in (-p, p], moved by whole multiples of p
     # only when x starts outside that window
@@ -196,16 +230,16 @@ def _level_classes(lens: LensSpace, knot: KnotId, k: int, level=None, choose=_sh
     # choose(sizes) yields, their rots times p, and the sizes; tb times p is
     # |num s_k|, and e_disk adds one table entry per block
     path, _, sizes, pairings = level or _level(slope_k(lens, knot, k))
-    p, orient = lens.p, 1 if knot.positive else -1
-    tb_q = Fraction(abs(path[0].num), p)
+    p, orient, s = lens.p, 1 if knot.positive else -1, path[0]
+    tb_q = Fraction(abs(s.num), p)
     unsigned = (len(path) - 2,)
     tables = [[w * (size - 2 * m) for m in range(size + 1)] for w, size in pairings]
     classes, rots = [], []
     for counts in choose(sizes):
         e_disk = sum(map(getitem, tables, counts))
         rot = orient * e_disk
-        sc = ShuffleClass(path, counts, unsigned)
-        classes.append(NonLooseClass(lens, knot, path[0], sc, tb_q, Fraction(rot, p), _euler_rep(-e_disk, p), k))
+        sc = _shuffle_class(path, counts, unsigned)
+        classes.append(_nonloose_class(lens, knot, s, sc, tb_q, Fraction(rot, p), _euler_rep(-e_disk, p), k))
         rots.append(rot)
     return classes, rots, sizes
 
@@ -292,6 +326,15 @@ class RangeMember:
         return self.cls.class_id
 
 
+def _range_member(cls, arm, index) -> RangeMember:
+    # RangeMember(...) with no dataclass __init__, fields in field order
+    m = _new(RangeMember)
+    _set(m, "cls", cls)
+    _set(m, "arm", arm)
+    _set(m, "index", index)
+    return m
+
+
 class StabEdge(NamedTuple):
     source: str
     sign: Sign
@@ -353,7 +396,7 @@ def _assemble_range(
         return None
     kind = RangeKind.V if all(arms.values()) else RangeKind.FORWARD_SLASH if arms[Sign.PLUS] else RangeKind.BACK_SLASH
     euler = base.euler % p
-    members = [RangeMember(base, "base", 0)]
+    members = [_range_member(base, "base", 0)]
     for sign, arm in arms.items():
         step, label = sign * p, str(sign)
         for n, j in enumerate(arm, start=1):
@@ -364,7 +407,7 @@ def _assemble_range(
             if member.euler % p != euler:
                 problems.append(f"{member.class_id}: Euler class leaves the structure")
                 return None
-            members.append(RangeMember(member, label, n))
+            members.append(_range_member(member, label, n))
     return MountainRange(kind, base.rot_q, base.tb_q, base.euler, tuple(members))
 
 
@@ -385,26 +428,30 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
     # per level k: its classes, their rots times p, its signed block sizes
     classes, rots, sizes = zip(*(_level_classes(lens, knot, k, level) for k, level in enumerate(reversed(levels))))
     signs = _COMPLEMENT_SIGN[knot.positive].items()
-    # preds[k][(minus counts on level k, sign)]: indices of the level k + 1 classes stabilizing there
-    preds: list[dict[tuple, list[int]]] = [{} for _ in range(k_max)]
+    # preds[k][sign][minus counts on level k]: the index of the level k + 1
+    # class stabilizing there with sign, or a list of them if more than one
+    preds: list[dict[Sign, dict]] = [{sign: {} for sign, _ in signs} for _ in range(k_max)]
     bases = [(0, i) for i in range(len(classes[0]))]
     problems: list[str] = []
     for k in range(1, k_max + 1):
-        up = preds[k - 1]
+        here, below = sizes[k], sizes[k - 1]
+        per_sign = [(on_complement, preds[k - 1][sign]) for sign, on_complement in signs]
         for i, c in enumerate(classes[k]):
-            tight = 0
-            for sign, on_complement in signs:
-                counts = _stabilized_counts(c.complement.minus_counts, on_complement, sizes[k], sizes[k - 1])
+            tight, minus_counts = 0, c.complement.minus_counts
+            for on_complement, sources in per_sign:
+                counts = _stabilized_counts(minus_counts, on_complement, here, below)
                 if counts is not None:
-                    up.setdefault((counts, sign), []).append(i)
                     tight += 1
+                    source = sources.setdefault(counts, i)
+                    if source != i:  # a second source: the arm through counts branches
+                        sources[counts] = [source, i] if type(source) is int else source + [i]
             if tight == 2:
                 problems.append(f"{c.class_id}: two tight stabilizations")
             elif tight == 0:
                 bases.append((k, i))
     # (base tb times p, base rot times p, range)
     ranges: list[tuple[int, int, MountainRange]] = []
-    claimed: set[tuple[int, int]] = set()
+    claimed = [bytearray(len(level)) for level in classes]  # 1 for a class in a certified range
     for k, i in bases:
         base = classes[k][i]
         if k > 1:
@@ -414,21 +461,22 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
         for sign, arm in arms.items():
             counts = base.complement.minus_counts
             for j in range(k, k_max):
-                sources = preds[j].get((counts, sign), [])
-                if not sources:
+                source = preds[j][sign].get(counts)
+                if source is None:
                     break
-                if len(sources) > 1:
+                if type(source) is list:
                     problems.append(f"{base.class_id}: branching {sign!s} arm")
                     break
-                arm.append(sources[0])
-                counts = classes[j + 1][sources[0]].complement.minus_counts
+                arm.append(source)
+                counts = classes[j + 1][source].complement.minus_counts
         mr = _assemble_range(classes, rots, k, i, arms, k_max, problems)
         if mr is not None:
             ranges.append((abs(base.dividing_slope.num), rots[k][i], mr))
-            claimed.add((k, i))
+            claimed[k][i] = 1
             for arm in arms.values():
-                claimed.update(enumerate(arm, start=k + 1))
-    unclaimed = sum(map(len, classes)) - len(claimed)
+                for n, j in enumerate(arm, start=k + 1):
+                    claimed[n][j] = 1
+    unclaimed = sum(marks.count(0) for marks in claimed)
     if unclaimed:
         problems.append(f"{unclaimed} classes outside every certified range")
     if problems:

@@ -17,6 +17,11 @@ block's edge class, read as the set of its edges' endpoint differences,
 paired with the meridian, where the package now reads one pairing per
 block from its first edge.  `check_canonical_slopes` checks slopes the
 package builds without Slope(...) against the ones Slope(...) builds.
+`classify_by_graph` keeps the package's earlier classifier pass: class
+records built by their dataclass constructors, the stabilization graph
+keyed by (minus counts, sign) tuples with a list of sources each, and a
+set of claimed (level, index) pairs, where the package now uses record
+builders, per-sign dicts of plain indices and one claim mark per class.
 """
 
 from __future__ import annotations
@@ -26,14 +31,15 @@ import json
 import pickle
 from collections import Counter, deque
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 from functools import cache
 from itertools import accumulate, islice
 from math import gcd
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Optional
 
 from nonloose.cfrac import ContinuedFraction, _minimal_vertices, expand, value
-from nonloose.decorated import DecorationError, ShuffleClass, Sign, _signed_sizes
+from nonloose.decorated import ClassificationError, DecorationError, ShuffleClass, Sign, _shuffle_counts, _signed_sizes
 from nonloose.farey import (
     INFINITY,
     FareyError,
@@ -44,6 +50,7 @@ from nonloose.farey import (
     farey_sum,
     has_edge,
 )
+from nonloose import unknots
 from nonloose.unknots import MountainRange, NonLooseClass, RangeKind, RangeMember, slope_k
 
 
@@ -543,6 +550,117 @@ def assemble_range_by_fractions(
     edges = [(source, flip[sign], target) for source, sign, target in edges]
     return kind, (-base.rot_q, base.tb_q), base.euler, tuple(members), tuple(edges)
 
+
+
+def _level_classes_by_init(lens, knot, k: int, level) -> tuple:
+    # the level's classes, built by the dataclass constructors, with their
+    # rots times p and the level's signed block sizes
+    path, _, sizes, pairings = level
+    p, orient = lens.p, 1 if knot.positive else -1
+    tb_q = Fraction(abs(path[0].num), p)
+    unsigned = (len(path) - 2,)
+    tables = [[w * (size - 2 * m) for m in range(size + 1)] for w, size in pairings]
+    classes, rots = [], []
+    for counts in _shuffle_counts(sizes):
+        e_disk = sum(map(getitem, tables, counts))
+        rot = orient * e_disk
+        sc = ShuffleClass(path, counts, unsigned)
+        classes.append(NonLooseClass(lens, knot, path[0], sc, tb_q, Fraction(rot, p), unknots._euler_rep(-e_disk, p), k))
+        rots.append(rot)
+    return classes, rots, sizes
+
+
+def _assemble_range_by_init(classes, rots, k: int, i: int, arms: dict, k_max: int, problems: list[str]):
+    # the base is classes[k][i], arms[sign] the indices of its arm's members
+    # on levels k + 1, k + 2, ...; invariants compare as integers times p
+    base, rot = classes[k][i], rots[k][i]
+    p, tb = base.lens.p, abs(base.dividing_slope.num)
+    expected = k_max - k
+    for sign, arm in arms.items():
+        if arm and len(arm) != expected:
+            problems.append(f"{base.class_id}: {sign!s} arm stops at depth {len(arm)} < {expected}")
+            return None
+    if not any(arms.values()):
+        problems.append(f"{base.class_id}: base with no arms at k_max={k_max}")
+        return None
+    kind = RangeKind.V if all(arms.values()) else RangeKind.FORWARD_SLASH if arms[Sign.PLUS] else RangeKind.BACK_SLASH
+    euler = base.euler % p
+    members = [RangeMember(base, "base", 0)]
+    for sign, arm in arms.items():
+        step, label = sign * p, str(sign)
+        for n, j in enumerate(arm, start=1):
+            member = classes[k + n][j]
+            if abs(member.dividing_slope.num) != tb + n * p or rots[k + n][j] != rot + n * step:
+                problems.append(f"{member.class_id}: invariants off the {label} arm pattern")
+                return None
+            if member.euler % p != euler:
+                problems.append(f"{member.class_id}: Euler class leaves the structure")
+                return None
+            members.append(RangeMember(member, label, n))
+    return MountainRange(kind, base.rot_q, base.tb_q, base.euler, tuple(members))
+
+
+def classify_by_graph(lens, knot, k_max: int) -> list[MountainRange]:
+    """unknots.classify with tuple-keyed predecessor lists and a set of
+    claimed (level, index) pairs; stabilizes through the module's
+    unknots._stabilized_counts, so a test's replacement reaches it too."""
+    if k_max < 3:
+        raise ClassificationError("k_max must be at least 3 to certify arm patterns")
+    meridian = unknots._work_meridian(lens, knot)
+    levels = [unknots._level(slope_k(lens, knot, k_max))]
+    for _ in range(k_max):
+        above = levels[-1]
+        levels.append(unknots._level_below(above.path, above.lengths, above.sizes, meridian))
+    classes, rots, sizes = zip(*(_level_classes_by_init(lens, knot, k, lv) for k, lv in enumerate(reversed(levels))))
+    signs = unknots._COMPLEMENT_SIGN[knot.positive].items()
+    # preds[k][(minus counts on level k, sign)]: indices of the level k + 1 classes stabilizing there
+    preds: list[dict[tuple, list[int]]] = [{} for _ in range(k_max)]
+    bases = [(0, i) for i in range(len(classes[0]))]
+    problems: list[str] = []
+    for k in range(1, k_max + 1):
+        up = preds[k - 1]
+        for i, c in enumerate(classes[k]):
+            tight = 0
+            for sign, on_complement in signs:
+                counts = unknots._stabilized_counts(c.complement.minus_counts, on_complement, sizes[k], sizes[k - 1])
+                if counts is not None:
+                    up.setdefault((counts, sign), []).append(i)
+                    tight += 1
+            if tight == 2:
+                problems.append(f"{c.class_id}: two tight stabilizations")
+            elif tight == 0:
+                bases.append((k, i))
+    ranges = []
+    claimed: set[tuple[int, int]] = set()
+    for k, i in bases:
+        base = classes[k][i]
+        if k > 1:
+            problems.append(f"{base.class_id}: unexpected base above the first two slopes")
+            continue
+        arms: dict[Sign, list[int]] = {sign: [] for sign, _ in signs}
+        for sign, arm in arms.items():
+            counts = base.complement.minus_counts
+            for j in range(k, k_max):
+                sources = preds[j].get((counts, sign), [])
+                if not sources:
+                    break
+                if len(sources) > 1:
+                    problems.append(f"{base.class_id}: branching {sign!s} arm")
+                    break
+                arm.append(sources[0])
+                counts = classes[j + 1][sources[0]].complement.minus_counts
+        mr = _assemble_range_by_init(classes, rots, k, i, arms, k_max, problems)
+        if mr is not None:
+            ranges.append((abs(base.dividing_slope.num), rots[k][i], mr))
+            claimed.add((k, i))
+            for arm in arms.values():
+                claimed.update(enumerate(arm, start=k + 1))
+    unclaimed = sum(map(len, classes)) - len(claimed)
+    if unclaimed:
+        problems.append(f"{unclaimed} classes outside every certified range")
+    if problems:
+        raise ClassificationError(*sorted(problems))
+    return [mr for _, _, mr in sorted(ranges, key=lambda r: (r[0], r[1], r[2].kind.value))]
 
 
 _KIND_SWAP = {RangeKind.BACK_SLASH: RangeKind.FORWARD_SLASH, RangeKind.FORWARD_SLASH: RangeKind.BACK_SLASH}

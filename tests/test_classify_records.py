@@ -1,0 +1,190 @@
+"""classify against its earlier graph pass, and the records its builders make.
+
+oracles.classify_by_graph keeps the classifier pass that built its class
+records with the dataclass constructors, keyed its stabilization graph by
+(minus counts, sign) tuples and claimed classes in a set.  classify must
+return the same ranges in the same order, member for member, and raise the
+same problems on every stabilization graph a replaced
+unknots._stabilized_counts can build.  The builders' records must behave
+as the constructors' do.
+"""
+
+import copy
+import pickle
+import random
+from dataclasses import FrozenInstanceError, fields, replace
+from math import gcd
+
+import pytest
+from oracles import classify_by_graph
+
+from nonloose import unknots
+from nonloose.decorated import ClassificationError, LensSpace, Sign, _shuffle_counts
+from nonloose.unknots import (
+    K0,
+    K1,
+    KnotId,
+    NonLooseClass,
+    _nonloose_class,
+    _range_member,
+    _shuffle_class,
+    classes_at_slope,
+    classify,
+)
+
+KNOTS = (K0, KnotId("K0", False), K1, KnotId("K1", False))
+# the benchmark's deep inputs: (p, q, core, k_max)
+DEEP = [(p, 1, "K0", 3) for p in (50, 100, 150, 200)] + [
+    (5, 2, "K0", 800),
+    (5, 2, "K1", 800),
+    (1000, 377, "K0", 8),
+    (1000, 377, "K1", 8),
+]
+
+
+def _lenses(p_max):
+    return [LensSpace(p, q) for p in range(1, p_max + 1) for q in range(1, max(p, 2)) if gcd(p, q) == 1]
+
+
+def _outcome(fn, lens, knot, k_max):
+    # the ranges, or the problems of the ClassificationError raised
+    try:
+        return fn(lens, knot, k_max), None
+    except ClassificationError as e:
+        return None, e.problems
+
+
+def _assert_same(lens, knot, k_max):
+    # classify's outcome equals the oracle's; returns the oracle's
+    got, got_problems = _outcome(classify, lens, knot, k_max)
+    want, want_problems = _outcome(classify_by_graph, lens, knot, k_max)
+    where = (str(lens), str(knot), k_max)
+    assert got_problems == want_problems, where
+    assert got == want, where
+    for a, b in zip(got or (), want or ()):
+        assert list(vars(a)) == list(vars(b)) and vars(a) == vars(b), where
+        for m, n in zip(a.members, b.members):
+            for x, y in ((m, n), (m.cls, n.cls), (m.cls.complement, n.cls.complement)):
+                assert list(vars(x)) == list(vars(y)) and vars(x) == vars(y), where
+    return want, want_problems
+
+
+@pytest.mark.parametrize("k_max", [3, 5])
+def test_classify_equals_the_graph_oracle(k_max):
+    ranges = 0
+    for lens in _lenses(30):
+        for knot in KNOTS:
+            ranges += len(_assert_same(lens, knot, k_max)[0] or ())
+    assert ranges > 5_000
+
+
+def test_classify_equals_the_graph_oracle_on_the_deep_inputs():
+    for p, q, core, k_max in DEEP:
+        assert _assert_same(LensSpace(p, q), KnotId(core), k_max)[0]
+
+
+def _hook(seed, rate):
+    # a deterministic replacement for unknots._stabilized_counts: the true
+    # rule, except that with probability rate a (class, sign) is loose or
+    # lands on a class of the level below drawn from the seed
+    true_rule = unknots._stabilized_counts
+
+    def stabilized(counts, sign, sizes, below):
+        rng = random.Random(f"{seed}|{counts}|{sign.value}|{sizes}|{below}")
+        if rng.random() >= rate:
+            return true_rule(counts, sign, sizes, below)
+        return None if rng.random() < 0.5 else rng.choice(list(_shuffle_counts(below)))
+
+    return stabilized
+
+
+PROBLEM_KINDS = (
+    "two tight",
+    "unexpected base",
+    "branching",
+    "no arms",
+    "arm stops",
+    "invariants off",
+    "Euler class",
+    "outside every",
+)
+
+
+def test_problem_lists_match_the_graph_oracle_on_hooked_graphs(monkeypatch):
+    certified, kinds = 0, set()
+    for seed in range(12):
+        monkeypatch.setattr(unknots, "_stabilized_counts", _hook(seed, (0.01, 0.1, 1.0)[seed % 3]))
+        for lens in _lenses(7):
+            for knot in KNOTS:
+                ranges, problems = _assert_same(lens, knot, 3 + seed % 2)
+                certified += ranges is not None
+                kinds.update(next(k for k in PROBLEM_KINDS if k in problem) for problem in problems or ())
+    # the hooks leave some graphs certified and break others in every way
+    # but the Euler check, which a class whose rot fits its arm always passes
+    assert certified > 50 and kinds == set(PROBLEM_KINDS) - {"Euler class"}, (certified, kinds)
+
+
+def _sizes(lens, k):
+    # the signed block sizes of level k of L(p, q), K0
+    return unknots._level(unknots.slope_k(lens, K0, k)).sizes
+
+
+def test_a_class_on_two_arms_is_reported_alike(monkeypatch):
+    # on L(5,2), K0, s2[0,0,1] of the V's + arm is made to stabilize
+    # negatively onto s1[2,1] too, whose own - source s2[1,1,1] turns loose:
+    # the back slash based at s0[2] then walks its - arm up through a class
+    # of the V's + arm.  Levels 2 and 3 have equal sizes, so the level below
+    # tells them apart
+    true_rule = unknots._stabilized_counts
+    lens = LensSpace(5, 2)
+    level_2 = (_sizes(lens, 2), _sizes(lens, 1))
+
+    def stabilized(counts, sign, here, below):
+        if (here, below) == level_2 and sign is Sign.MINUS:
+            if counts == (0, 0, 1):
+                return (2, 1)
+            if counts == (1, 1, 1):
+                return None
+        return true_rule(counts, sign, here, below)
+
+    monkeypatch.setattr(unknots, "_stabilized_counts", stabilized)
+    with pytest.raises(ClassificationError) as info:
+        classify(lens, K0, 3)
+    assert "s2[0,0,1]: two tight stabilizations" in info.value.problems
+    assert _assert_same(lens, K0, 3)[1] == info.value.problems
+
+
+def _fields(record):
+    return [getattr(record, f.name) for f in fields(record)]
+
+
+def _records():
+    # (builder, a record the package built) for every record type
+    c = classes_at_slope(LensSpace(7, 2), K0, 2)[3]
+    m = classify(LensSpace(7, 2), K0, 3)[2].members[1]
+    return [(_shuffle_class, c.complement), (_nonloose_class, c), (_range_member, m)]
+
+
+def test_built_records_match_the_dataclass_constructors():
+    for builder, record in _records():
+        cls, values = type(record), _fields(record)
+        built, made = builder(*values), cls(*values)
+        assert type(built) is cls and built == made and hash(built) == hash(made)
+        assert list(vars(built)) == list(vars(made)) == [f.name for f in fields(cls)]
+        assert not hasattr(cls, "__post_init__")
+        for twin in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built)), replace(built)):
+            assert type(twin) is cls and twin == made and list(vars(twin)) == list(vars(made))
+        assert replace(built, **{fields(cls)[-1].name: values[-1]}) == made
+        with pytest.raises(FrozenInstanceError):
+            setattr(built, fields(cls)[0].name, values[0])
+
+
+def test_built_class_caches_its_id_as_the_constructed_one_does():
+    c = classes_at_slope(LensSpace(7, 2), K0, 2)[3]
+    built, made = _nonloose_class(*_fields(c)), NonLooseClass(*_fields(c))
+    assert "class_id" not in vars(built) and "class_id" not in vars(made)
+    assert built.class_id == made.class_id == "s2[0,1,0]"
+    assert built.class_id is built.class_id and vars(built)["class_id"] is built.class_id
+    assert list(vars(built)) == list(vars(made))
+    assert replace(built, k=3).class_id == "s3[0,1,0]"
+

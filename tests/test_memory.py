@@ -2,9 +2,13 @@
 
 import gc
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import tracemalloc
 from math import gcd
+from pathlib import Path
 
 import nonloose
 from nonloose.unknots import K0, K1, LensSpace, classify
@@ -36,3 +40,35 @@ def test_classify_retains_no_memory():
     finally:
         tracemalloc.stop()
     assert retained < 64 << 10, f"{retained} bytes retained"
+
+
+# prints the bytes still traced while one classifier's result for L(5,2),
+# K0 at k_max=800 is held, after a small call has set up what the
+# interpreter creates lazily; a fresh interpreter per classifier, as one
+# process drifts by a few bytes from one measurement to the next
+_RESULT_SIZE = """
+import gc, sys, tracemalloc
+from oracles import classify_by_graph
+from nonloose.unknots import K0, LensSpace, classify
+fn = classify if sys.argv[1] == "classify" else classify_by_graph
+fn(LensSpace(5, 2), K0, 3)
+gc.collect()
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+result = fn(LensSpace(5, 2), K0, 800)
+gc.collect()
+assert len(result) == 5
+print(tracemalloc.get_traced_memory()[0] - before)
+"""
+
+
+def _result_size(name: str) -> int:
+    paths = [str(Path(nonloose.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run([sys.executable, "-c", _RESULT_SIZE, name], env=env, capture_output=True, text=True, check=True)
+    return int(run.stdout)
+
+
+def test_built_records_take_no_more_memory_than_constructed_ones():
+    built, constructed = _result_size("classify"), _result_size("oracle")
+    assert built <= constructed, (built, constructed)

@@ -16,7 +16,10 @@ its proof is reviewed and the set extended.
 import ast
 from pathlib import Path
 
+import pytest
+
 import nonloose
+from nonloose import unknots
 from nonloose.cli import FORMATS
 
 
@@ -102,15 +105,15 @@ PRIMITIVE_CALLERS = {
 }
 
 
-def _primitive_users(modules: dict) -> set:
+def _primitive_users(modules: dict, name: str = "_primitive") -> set:
     # (module, innermost enclosing function or "<module>") for each read of
-    # _primitive, called or not, by name or as an attribute
+    # name, called or not, by name or as an attribute
     users = set()
 
     def visit(mod, node, scope):
         for child in ast.iter_child_nodes(node):
-            read = isinstance(child, ast.Name) and child.id == "_primitive" and isinstance(child.ctx, ast.Load)
-            if read or (isinstance(child, ast.Attribute) and child.attr == "_primitive"):
+            read = isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load)
+            if read or (isinstance(child, ast.Attribute) and child.attr == name):
                 users.add((mod, scope))
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
             visit(mod, child, inner)
@@ -140,3 +143,54 @@ def test_the_primitive_scan_finds_every_kind_of_use():
         ),
     }
     assert _primitive_users(modules) == {("a", "parse"), ("a", "<module>"), ("a", "inner")}
+
+
+# (module, function) of each reviewed caller of each record builder in
+# unknots.  A builder skips the dataclass __init__ as _primitive skips the
+# gcd, so a caller outside the reviewed set fails until it is reviewed, and
+# no type a builder builds may have a __post_init__ that would be skipped
+BUILDER_CALLERS = {
+    "_shuffle_class": {("unknots", "_level_classes")},
+    "_nonloose_class": {("unknots", "_level_classes")},
+    "_range_member": {("unknots", "_assemble_range")},
+}
+
+
+def test_class_records_are_built_only_at_reviewed_callers():
+    package = Path(nonloose.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    for name, callers in BUILDER_CALLERS.items():
+        assert _primitive_users(modules, name) == callers, name
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_CALLERS))
+def test_the_builder_scan_finds_every_kind_of_use(name):
+    modules = {
+        "a": ast.parse(
+            f"from .unknots import {name}\n"
+            "class C:\n"
+            f"    def parse(self): return {name}(4, -6)\n"
+            f"build = {name}\n"
+            "def outer():\n"
+            f"    def inner(): return unknots.{name}(1, 1)\n"
+            "    return inner\n"
+            f"def {name}(num, den): return num, den\n"
+        ),
+    }
+    assert _primitive_users(modules, name) == {("a", "parse"), ("a", "<module>"), ("a", "inner")}
+    assert _primitive_users(modules) == set()
+
+
+def test_no_type_a_builder_builds_has_a_post_init():
+    # the types each builder passes to object.__new__, read from its source
+    tree = ast.parse(Path(unknots.__file__).read_text())
+    built = {
+        node.args[0].id
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in BUILDER_CALLERS
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_new"
+    }
+    assert built == {"ShuffleClass", "NonLooseClass", "RangeMember"}
+    for name in built:
+        assert not hasattr(getattr(unknots, name), "__post_init__"), name

@@ -7,17 +7,20 @@ modular inverse of n mod d: the larger is the "successor", the farthest
 clockwise neighbor above it, and the smaller the "ancestor", whose
 expansion drops a_n.  Minimal clockwise paths step from each vertex to
 its farthest clockwise neighbor inside the remaining arc, read off after
-a determinant-one change of basis sends the vertex to infinity.  Adjacent
-slopes pair to determinant one, so each vertex's basis is built from the
-coordinates of the vertex before it; only the first needs an inverse.
-The pairing also makes each vertex primitive: it is built with no gcd.
+a determinant-one change of basis sends the vertex to infinity; only the
+first vertex needs an inverse, as each later basis comes from the vertex
+before it.  The walk goes one continued fraction block at a time: inside
+a block consecutive vertices differ by one fixed vector, so each block
+takes one floor division however long it is.  Vertices are built only
+when a path is expanded from its blocks, each primitive because Farey
+neighbors pair to determinant one, so with no gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
-from typing import NoReturn
+from itertools import accumulate, pairwise, repeat
+from typing import Iterator, NoReturn
 
 from .farey import INFINITY, FareyError, Slope, _primitive
 
@@ -149,30 +152,54 @@ def ancestor(s: Slope) -> Slope:
     return _primitive(s.num - u, s.den - v)
 
 
-def _minimal_vertices(r: Slope, s: Slope) -> tuple[Slope, ...]:
+def _minimal_blocks(r: Slope, s: Slope) -> Iterator[tuple[int, int, int, int, int]]:
+    # (vn, vd, wn, wd, k) per continued fraction block of the minimal path r
+    # -> s, in order: the block's k edges join the vertices +-(v - i*w), i =
+    # k..0, so v is its last vertex.  The walk keeps a vertex v, the one
+    # before it, u (dot(u, v) = 1), d = dot(v, s) and e = dot(u, s).  M =
+    # [[x, y], [-vd, vn]] with x*vn + y*vd = 1 sends v to infinity, whose
+    # neighbors are the integers, and s to e/d, so the next vertex is n*v - u
+    # with n = e // d, where u = (y, -x) at the start.  Each step leaves d and
+    # e of opposite signs with |d| < |e|, so every later step has n <= -2,
+    # and two edges share a block exactly across an n = -2 step, as their
+    # outer vertices pair to -2.  Such a step goes v -> -(v + w), w = v + u,
+    # and |d| falls by |d + e| at each, so a run takes |d| // |d + e| steps,
+    # the last of them onto s when that divides
     if r == s:
         raise FareyError("minimal path needs distinct endpoints")
     sn, sd = s.num, s.den
     vn, vd = r.num, r.den
-    # M = [[x, y], [-vd, vn]] with x*vn + y*vd = 1 sends v to infinity,
-    # whose neighbors are the integers, and s to (x*sn + y*sd)/dot(v, s);
-    # the next vertex is w = M^-1 (floor(M s), 1).  As dot(v, w) = 1, the
-    # unreduced pair (-vd, vn) is the next (x, y): no Euclid per vertex, and
-    # no gcd either, as w is built in canonical form
     x = pow(vn, -1, vd) if vd else 1
-    y = (1 - x * vn) // vd if vd else 0
+    un, ud = (1 - x * vn) // vd if vd else 0, -x
     d = vn * sd - vd * sn
-    # |dot(v, s)| strictly decreases along a minimal path and is 0 at s
-    limit = abs(d) + 1
+    e = un * sd - ud * sn
+    while d:
+        # a step of any n opens the block, then a run of n = -2 steps
+        n = e // d
+        vn, vd, un, ud, d, e = n * vn - un, n * vd - ud, vn, vd, n * d - e, d
+        wn, wd, dw = vn + un, vd + ud, d + e
+        m = -d // dw
+        if m:
+            vn, vd, d = vn + m * wn, vd + m * wd, d + m * dw
+            un, ud, e = wn - vn, wd - vd, dw - d
+        yield vn, vd, wn, wd, m + 1
+
+
+def _minimal_vertices(r: Slope, s: Slope) -> tuple[Slope, ...]:
+    # the block walk's vertices; the walk never builds a vertex itself
     out = [r]
-    while d != 1 and d != -1:
-        n = (x * sn + y * sd) // d
-        vn, vd, x, y = vn * n - y, vd * n + x, -vd, vn
-        out.append(_primitive(vn, vd))  # consecutive walk vertices pair to +-1
-        if len(out) >= limit:
+    # |dot(v, s)| strictly decreases along a minimal path and is 0 at s
+    limit = abs(r.num * s.den - r.den * s.num) + 1
+    for vn, vd, wn, wd, k in _minimal_blocks(r, s):
+        if k == 1:
+            out.append(_primitive(vn, vd))  # Farey neighbors pair to +-1
+        else:
+            # a block's vertices +-(v - i*w), i = k - 1..0, pair to +-1 in turn
+            nums = range(vn - (k - 1) * wn, vn + wn, wn) if wn else repeat(vn, k)
+            dens = range(vd - (k - 1) * wd, vd + wd, wd) if wd else repeat(vd, k)
+            out.extend(map(_primitive, nums, dens))
+        if len(out) > limit:
             raise FareyError("runaway minimal path")
-        d = vn * sd - vd * sn
-    out.append(s)
     return tuple(out)
 
 

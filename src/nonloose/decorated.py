@@ -19,7 +19,7 @@ from enum import IntEnum
 from itertools import islice, product
 from typing import Collection, Optional, Union
 
-from .cfrac import FareyPath, _block_lengths, _minimal_vertices
+from .cfrac import FareyPath, _block_lengths, _minimal_blocks, _minimal_vertices
 from .farey import (
     ZERO,
     SignedVector,
@@ -156,31 +156,57 @@ class ShuffleClass:
     unsigned_positions: tuple[int, ...] = ()
 
 
-def _context_data(c: Context) -> tuple[tuple[Slope, ...], tuple[int, ...]]:
-    """Minimal path and unsigned edges, in order, realizing a context."""
+def _context_ends(c: Context) -> tuple[Slope, Slope, bool, bool]:
+    # the endpoints of a context's minimal path, and whether its first and
+    # its last edge are unsigned
     if isinstance(c, ThickenedTorus):
-        return _minimal_vertices(c.s0, c.s1), ()
+        return c.s0, c.s1, False, False
     if isinstance(c, LowerSolidTorus):
-        return _minimal_vertices(c.meridian, c.boundary), (0,)
+        return c.meridian, c.boundary, True, False
     if isinstance(c, UpperSolidTorus):
-        verts = _minimal_vertices(c.boundary, c.meridian)
-        return verts, (len(verts) - 2,)
+        return c.boundary, c.meridian, False, True
     if isinstance(c, LensSpace):
-        verts = _minimal_vertices(Slope(-c.p, c.q), ZERO)
-        return verts, tuple(sorted({0, len(verts) - 2}))
+        return Slope(-c.p, c.q), ZERO, True, True
     raise DecorationError(f"unknown context {c!r}")
 
 
-def _signed_sizes(vertices: tuple[Slope, ...], unsigned: Collection[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # edges and signed edges per continued fraction block; unsigned edges are
-    # terminal, so an unsigned edge 0 leaves the first block, any other the last
-    lengths = _block_lengths(vertices)
+def _context_data(c: Context) -> tuple[tuple[Slope, ...], tuple[int, ...]]:
+    """Minimal path and unsigned edges, in order, realizing a context."""
+    r, s, first, last = _context_ends(c)
+    vertices = _minimal_vertices(r, s)
+    return vertices, _unsigned_edges(first, last, len(vertices) - 1)
+
+
+def _context_sizes(c: Context) -> tuple[int, ...]:
+    # _signed_sizes of the context's minimal path, read block by block
+    r, s, first, last = _context_ends(c)
+    lengths = [k for *_, k in _minimal_blocks(r, s)]
+    return _less_unsigned(lengths, _unsigned_edges(first, last, sum(lengths)))
+
+
+def _unsigned_edges(first: bool, last: bool, edges: int) -> tuple[int, ...]:
+    # on a single edge, the first edge is the last
+    unsigned = {0} if first else set()
+    if last:
+        unsigned.add(edges - 1)
+    return tuple(sorted(unsigned))
+
+
+def _less_unsigned(lengths: list[int], unsigned: Collection[int]) -> tuple[int, ...]:
+    # signed edges per block; unsigned edges are terminal, so an unsigned
+    # edge 0 leaves the first block, any other the last
     sizes = lengths[:]
     if 0 in unsigned:
         sizes[0] -= 1
     if max(unsigned, default=0) > 0:
         sizes[-1] -= 1
-    return tuple(lengths), tuple(sizes)
+    return tuple(sizes)
+
+
+def _signed_sizes(vertices: tuple[Slope, ...], unsigned: Collection[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # edges and signed edges per continued fraction block
+    lengths = _block_lengths(vertices)
+    return tuple(lengths), _less_unsigned(lengths, unsigned)
 
 
 def _minus_counts(d: DecoratedPath) -> tuple[int, ...]:
@@ -312,11 +338,11 @@ def count_tight(c: Context) -> int:
     """Number of tight structures on a context, up to isotopy.
 
     Product over the continued fraction blocks of the context's minimal
-    path of (number of signed edges in the block + 1).
+    path of (number of signed edges in the block + 1).  The blocks are
+    walked one floor division each, and no vertex is built, so the cost
+    grows with the number of blocks, not with the length of the path.
     """
-    vertices, unsigned = _context_data(c)
-    _, sizes = _signed_sizes(vertices, unsigned)
-    return math.prod(s + 1 for s in sizes)
+    return math.prod(s + 1 for s in _context_sizes(c))
 
 
 def _shuffle_counts(sizes: tuple[int, ...]):

@@ -404,6 +404,7 @@ def _assemble_range(
             if abs(member.dividing_slope.num) != tb + n * p or rots[k + n][j] != rot + n * step:
                 problems.append(f"{member.class_id}: invariants off the {label} arm pattern")
                 return None
+            # _level_classes' records passing the rot check pass this: euler = -orient * rot * p (mod p)
             if member.euler % p != euler:
                 problems.append(f"{member.class_id}: Euler class leaves the structure")
                 return None

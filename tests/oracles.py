@@ -49,6 +49,7 @@ from nonloose.farey import (
     farey_diff,
     farey_sum,
     has_edge,
+    _primitive,
 )
 from nonloose import unknots
 from nonloose.unknots import MountainRange, NonLooseClass, RangeKind, RangeMember, slope_k
@@ -202,6 +203,36 @@ def minimal_vertices_by_bezout(r: Slope, s: Slope) -> tuple[Slope, ...]:
         out.append(cur)
         if len(out) > limit:
             raise FareyError("runaway minimal path")
+    return tuple(out)
+
+
+def minimal_vertices_by_steps(r: Slope, s: Slope) -> tuple[Slope, ...]:
+    """Minimal clockwise path from r to s, one floor division and one
+    determinant per vertex: the package's earlier walk, before it jumped
+    whole continued fraction blocks."""
+    if r == s:
+        raise FareyError("minimal path needs distinct endpoints")
+    sn, sd = s.num, s.den
+    vn, vd = r.num, r.den
+    # M = [[x, y], [-vd, vn]] with x*vn + y*vd = 1 sends v to infinity,
+    # whose neighbors are the integers, and s to (x*sn + y*sd)/dot(v, s);
+    # the next vertex is w = M^-1 (floor(M s), 1).  As dot(v, w) = 1, the
+    # unreduced pair (-vd, vn) is the next (x, y): no Euclid per vertex, and
+    # no gcd either, as w is built in canonical form
+    x = pow(vn, -1, vd) if vd else 1
+    y = (1 - x * vn) // vd if vd else 0
+    d = vn * sd - vd * sn
+    # |dot(v, s)| strictly decreases along a minimal path and is 0 at s
+    limit = abs(d) + 1
+    out = [r]
+    while d != 1 and d != -1:
+        n = (x * sn + y * sd) // d
+        vn, vd, x, y = vn * n - y, vd * n + x, -vd, vn
+        out.append(_primitive(vn, vd))  # consecutive walk vertices pair to +-1
+        if len(out) >= limit:
+            raise FareyError("runaway minimal path")
+        d = vn * sd - vd * sn
+    out.append(s)
     return tuple(out)
 
 

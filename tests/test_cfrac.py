@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from nonloose.cfrac import (
     ContinuedFraction,
     FareyPath,
+    _block_lengths,
+    _minimal_blocks,
     _minimal_vertices,
     ancestor,
     block_structure,
@@ -20,6 +22,7 @@ from nonloose.cfrac import (
 from nonloose.farey import INFINITY, ZERO, FareyError, Slope, dot
 from oracles import (
     ancestor_by_expansion,
+    blocks_of,
     bounded_slopes,
     check_canonical_slopes,
     check_path_by_arcs,
@@ -27,6 +30,7 @@ from oracles import (
     farthest_smaller_neighbor,
     minimal_path_length_bound,
     minimal_vertices_by_bezout,
+    minimal_vertices_by_steps,
     shortest_clockwise_paths,
     successor_by_expansion,
 )
@@ -404,3 +408,57 @@ def test_repeat_of_last_vertex_is_not_distinct():
 def test_path_text_lists_its_vertices():
     assert str(minimal_path(Slope(-7, 3), INFINITY)) == "-7/3 -2/1 1/0"
     assert str(ContinuedFraction((-3, -2, -4, -2))) == "[-3,-2,-4,-2]"
+
+
+def _check_block_walk(r, s):
+    # the block walk's expansion is the per-step walk's path (and the
+    # Euclid-per-vertex one's), and the walk's edge counts are its blocks
+    vertices = _minimal_vertices(r, s)
+    assert vertices == minimal_vertices_by_steps(r, s), (r, s)
+    assert vertices == minimal_vertices_by_bezout(r, s), (r, s)
+    counts = [k for *_, k in _minimal_blocks(r, s)]
+    assert counts == _block_lengths(vertices) == list(map(len, blocks_of(vertices))), (r, s)
+    return vertices
+
+
+def test_block_walk_matches_step_oracles_on_bounded_slopes():
+    pool = bounded_slopes(12)
+    for r in pool:
+        for s in pool:
+            if r != s:
+                _check_block_walk(r, s)
+
+
+def test_block_walk_matches_step_oracles_on_seeded_slopes_to_zero():
+    # slopes -num/den drawn as the calculus benchmark draws them, with paths
+    # to 0 of at most 300 vertices, until 50 000 vertices are built
+    rng, total = random.Random(18), 0
+    while total < 50_000:
+        num = rng.randint(3, 10**6)
+        den = rng.randint(2, num - 1)
+        if gcd(num, den) == 1 and minimal_path_length_bound(Slope(-num, den), ZERO) <= 300:
+            total += len(_check_block_walk(Slope(-num, den), ZERO))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(big_slopes(10**9), big_slopes(10**9))
+def test_block_walk_matches_step_oracles_on_huge_slopes(r, s):
+    assume(r != s and minimal_path_length_bound(r, s) <= 50000)
+    _check_block_walk(r, s)
+
+
+def test_block_walk_crosses_infinity_inside_a_block():
+    # 1 -> 1/0 -> -1 is one block whose step vector has numerator 0
+    vertices = _check_block_walk(Slope(1), Slope(-1))
+    assert vertices == (Slope(1), INFINITY, Slope(-1))
+    assert [k for *_, k in _minimal_blocks(Slope(1), Slope(-1))] == [2]
+
+
+def test_block_walk_jumps_a_long_block_at_once():
+    # the path of L(10^5, 1) is one block of 10^5 edges, walked in one step
+    r = Slope(-(10**5))
+    assert len(list(_minimal_blocks(r, ZERO))) == 1
+    vertices = _check_block_walk(r, ZERO)
+    assert vertices == tuple(Slope(n) for n in range(-(10**5), 1))
+    with pytest.raises(FareyError, match="minimal path needs distinct endpoints"):
+        next(_minimal_blocks(r, r))

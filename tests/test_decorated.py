@@ -624,3 +624,66 @@ def test_lens_structures_list_each_unsigned_edge_once():
     for p, q in ((2, 1), (5, 2), (7, 3)):
         for sc in enumerate_tight(Lens(p, q)):
             assert sc.unsigned_positions == (0, len(sc.path) - 2)
+
+
+def test_count_tight_builds_no_path(monkeypatch):
+    from math import gcd, prod
+
+    from nonloose import cfrac, decorated
+    from nonloose.cfrac import expand
+    from oracles import blocks_of, bounded_slopes, minimal_vertices_by_steps
+
+    def no_path(r, s):
+        raise AssertionError(f"count_tight built the path {r} -> {s}")
+
+    pool = bounded_slopes(8)
+    paths = {(r, s): minimal_vertices_by_steps(r, s) for r in pool for s in pool if r != s}
+    monkeypatch.setattr(cfrac, "_minimal_vertices", no_path)
+    monkeypatch.setattr(decorated, "_minimal_vertices", no_path)
+    # count_by_orbits reads a path only through its blocks, so one call per
+    # block structure and unsigned set serves every path sharing them; it
+    # doubles its work per edge, so longer paths take blocks_of's product
+    orbits = {}
+    for (r, s), verts in paths.items():
+        edges = len(verts) - 1
+        lengths = tuple(map(len, blocks_of(verts)))
+        for ctx, unsigned in (
+            (ThickenedTorus(r, s), frozenset()),
+            (UpperSolidTorus(meridian=s, boundary=r), frozenset({edges - 1})),
+            (LowerSolidTorus(meridian=r, boundary=s), frozenset({0})),
+        ):
+            key = (lengths, unsigned)
+            if key not in orbits:
+                if edges <= 10:
+                    orbits[key] = count_by_orbits(verts, unsigned)
+                else:
+                    blocks = blocks_of(verts)
+                    orbits[key] = prod(sum(e not in unsigned for e in blk) + 1 for blk in blocks)
+            assert count_tight(ctx) == orbits[key], ctx
+    assert count_tight(Lens(1, 1)) == 1
+    for p in range(2, 61):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                assert count_tight(Lens(p, q)) == prod(abs(a + 1) for a in expand(Slope(-p, q)).coeffs), (p, q)
+    with pytest.raises(DecorationError, match=r"^unknown context 'torus'$"):
+        count_tight("torus")
+
+
+def test_tight_count_of_a_long_lens_fits_in_a_gigabyte():
+    # L(10^8, 1) has a path of 10^8 edges, whose vertices would need
+    # gigabytes: far past the child's address-space limit
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nonloose
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(nonloose.__file__).parents[1])}
+    argv = [sys.executable, "-m", "nonloose.cli", "tight-count", "lens", "100000000", "1"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, preexec_fn=limit)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "99999999\n", "")

@@ -194,3 +194,18 @@ def test_no_type_a_builder_builds_has_a_post_init():
     assert built == {"ShuffleClass", "NonLooseClass", "RangeMember"}
     for name in built:
         assert not hasattr(getattr(unknots, name), "__post_init__"), name
+
+
+# (module, function) of each reviewed reader of cfrac._minimal_blocks: the
+# expansion that builds a path's vertices, and the one reader of a
+# context's blocks that builds none
+BLOCK_WALK_READERS = {
+    ("cfrac", "_minimal_vertices"),
+    ("decorated", "_context_sizes"),
+}
+
+
+def test_the_block_walk_is_read_only_at_reviewed_readers():
+    package = Path(nonloose.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert _primitive_users(modules, "_minimal_blocks") == BLOCK_WALK_READERS

@@ -157,8 +157,8 @@ class ShuffleClass:
 
 
 def _context_ends(c: Context) -> tuple[Slope, Slope, bool, bool]:
-    # the endpoints of a context's minimal path, and whether its first and
-    # its last edge are unsigned
+    # a context's rule, stated once: the endpoints of its minimal path, and
+    # whether its first and its last edge are unsigned
     if isinstance(c, ThickenedTorus):
         return c.s0, c.s1, False, False
     if isinstance(c, LowerSolidTorus):
@@ -177,11 +177,12 @@ def _context_data(c: Context) -> tuple[tuple[Slope, ...], tuple[int, ...]]:
     return vertices, _unsigned_edges(first, last, len(vertices) - 1)
 
 
-def _context_sizes(c: Context) -> tuple[int, ...]:
-    # _signed_sizes of the context's minimal path, read block by block
+def _context_sizes(c: Context) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # edges and signed edges per continued fraction block of the context's
+    # minimal path, read from the block walk with no vertex built
     r, s, first, last = _context_ends(c)
-    lengths = [k for *_, k in _minimal_blocks(r, s)]
-    return _less_unsigned(lengths, _unsigned_edges(first, last, sum(lengths)))
+    lengths = tuple(k for *_, k in _minimal_blocks(r, s))
+    return lengths, _less_unsigned(lengths, _unsigned_edges(first, last, sum(lengths)))
 
 
 def _unsigned_edges(first: bool, last: bool, edges: int) -> tuple[int, ...]:
@@ -192,21 +193,15 @@ def _unsigned_edges(first: bool, last: bool, edges: int) -> tuple[int, ...]:
     return tuple(sorted(unsigned))
 
 
-def _less_unsigned(lengths: list[int], unsigned: Collection[int]) -> tuple[int, ...]:
+def _less_unsigned(lengths: Collection[int], unsigned: Collection[int]) -> tuple[int, ...]:
     # signed edges per block; unsigned edges are terminal, so an unsigned
     # edge 0 leaves the first block, any other the last
-    sizes = lengths[:]
+    sizes = list(lengths)
     if 0 in unsigned:
         sizes[0] -= 1
     if max(unsigned, default=0) > 0:
         sizes[-1] -= 1
     return tuple(sizes)
-
-
-def _signed_sizes(vertices: tuple[Slope, ...], unsigned: Collection[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # edges and signed edges per continued fraction block
-    lengths = _block_lengths(vertices)
-    return tuple(lengths), _less_unsigned(lengths, unsigned)
 
 
 def _minus_counts(d: DecoratedPath) -> tuple[int, ...]:
@@ -289,29 +284,28 @@ def shorten_to_minimal(d: DecoratedPath) -> Optional[DecoratedPath]:
     return DecoratedPath(FareyPath(tuple(v)), tuple(signs))
 
 
+# the texts of a path's mismatches with a context, by which of its terminal
+# edges the context leaves unsigned: unsigned edges, then endpoints
+_MISMATCHES = {
+    (False, False): ("thickened torus paths carry a sign on every edge", "boundary slopes"),
+    (True, False): ("a lower solid torus leaves exactly the first edge unsigned", "torus data"),
+    (False, True): ("an upper solid torus leaves exactly the last edge unsigned", "torus data"),
+}
+
+
 def _check_against_context(d: DecoratedPath, c: Context) -> None:
-    vertices = d.vertices
-    unsigned = [i for i, s in enumerate(d.signs) if s is Sign.UNSIGNED]
-    if isinstance(c, ThickenedTorus):
-        if unsigned:
-            raise DecorationError("thickened torus paths carry a sign on every edge")
-        if vertices[0] != c.s0 or vertices[-1] != c.s1:
-            raise DecorationError("path endpoints do not match the boundary slopes")
-    elif isinstance(c, LowerSolidTorus):
-        if unsigned != [0]:
-            raise DecorationError("a lower solid torus leaves exactly the first edge unsigned")
-        if vertices[0] != c.meridian or vertices[-1] != c.boundary:
-            raise DecorationError("path endpoints do not match the torus data")
-    elif isinstance(c, UpperSolidTorus):
-        if unsigned != [len(vertices) - 2]:
-            raise DecorationError("an upper solid torus leaves exactly the last edge unsigned")
-        if vertices[0] != c.boundary or vertices[-1] != c.meridian:
-            raise DecorationError("path endpoints do not match the torus data")
-    else:
+    r, s, first, last = _context_ends(c)
+    if first and last:
         # a lens-space structure needs both terminal edges unsigned, which
         # a DecoratedPath cannot carry; tightness there is a counting
         # question answered by count_tight/enumerate_tight
         raise DecorationError("tightness of decorated paths is not defined on lens contexts")
+    unsigned_text, ends_text = _MISMATCHES[first, last]
+    if tuple(i for i, sg in enumerate(d.signs) if sg is Sign.UNSIGNED) != _unsigned_edges(first, last, len(d.signs)):
+        raise DecorationError(unsigned_text)
+    vertices = d.vertices
+    if vertices[0] != r or vertices[-1] != s:
+        raise DecorationError(f"path endpoints do not match the {ends_text}")
 
 
 def is_tight(d: DecoratedPath, c: Context) -> bool:
@@ -342,7 +336,7 @@ def count_tight(c: Context) -> int:
     walked one floor division each, and no vertex is built, so the cost
     grows with the number of blocks, not with the length of the path.
     """
-    return math.prod(s + 1 for s in _context_sizes(c))
+    return math.prod(s + 1 for s in _context_sizes(c)[1])
 
 
 def _shuffle_counts(sizes: tuple[int, ...]):
@@ -353,7 +347,7 @@ def _shuffle_counts(sizes: tuple[int, ...]):
 def enumerate_tight(c: Context) -> list[ShuffleClass]:
     """All tight structures on a context as shuffle classes."""
     vertices, unsigned = _context_data(c)
-    _, sizes = _signed_sizes(vertices, unsigned)
+    _, sizes = _context_sizes(c)
     return [ShuffleClass(vertices, counts, unsigned) for counts in _shuffle_counts(sizes)]
 
 

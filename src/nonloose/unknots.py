@@ -64,8 +64,8 @@ from .decorated import (
     Sign,
     UpperSolidTorus,
     _context_data,
+    _context_sizes,
     _shuffle_counts,
-    _signed_sizes,
 )
 from .farey import INFINITY, ZERO, Slope, _primitive, dot, farey_diff, iterated_sum
 
@@ -202,8 +202,9 @@ def _level(s: Slope) -> _Level:
     # the level with dividing slope s, from its minimal complement path.  The
     # path runs clockwise from s to 0 through the negative slopes, so 1/0 can
     # only start it, as the single edge 1/0 -> 0: no block crosses infinity
-    path, unsigned = _context_data(UpperSolidTorus(ZERO, s))
-    lengths, sizes = _signed_sizes(path, unsigned)
+    complement = UpperSolidTorus(ZERO, s)
+    path, _ = _context_data(complement)
+    lengths, sizes = _context_sizes(complement)
     return _Level(path, lengths, sizes, _level_pairings(path, lengths, sizes))
 
 
@@ -292,7 +293,8 @@ def stabilize(c: NonLooseClass, sign: Sign) -> Optional[NonLooseClass]:
         raise ClassificationError("stabilization sign must be PLUS or MINUS")
     if c.k == 0:
         return None
-    lengths, sizes = _signed_sizes(c.complement.path, c.complement.unsigned_positions)
+    # the engine's complement paths start at their dividing slope
+    lengths, sizes = _context_sizes(UpperSolidTorus(ZERO, c.complement.path[0]))
     below = _level_below(c.complement.path, lengths, sizes, _work_meridian(c.lens, c.knot))
     on_complement = _COMPLEMENT_SIGN[c.knot.positive][sign]
     counts = _stabilized_counts(c.complement.minus_counts, on_complement, sizes, below.sizes)

@@ -22,6 +22,12 @@ records built by their dataclass constructors, the stabilization graph
 keyed by (minus counts, sign) tuples with a list of sources each, and a
 set of claimed (level, index) pairs, where the package now uses record
 builders, per-sign dicts of plain indices and one claim mark per class.
+`_signed_sizes` keeps the package's earlier block reader for the paths it
+builds, a rescan of the path's vertex triples, where the package now
+takes each context's blocks from the block walk.  `check_against_context_by_types`
+keeps the package's earlier context check, one isinstance branch per
+context with its endpoints and unsigned edges stated again, where the
+package now reads both from the context's one rule.
 """
 
 from __future__ import annotations
@@ -36,10 +42,20 @@ from functools import cache
 from itertools import accumulate, islice
 from math import gcd
 from operator import getitem, itemgetter
-from typing import Optional
+from typing import Collection, Optional
 
-from nonloose.cfrac import ContinuedFraction, _minimal_vertices, expand, value
-from nonloose.decorated import ClassificationError, DecorationError, ShuffleClass, Sign, _shuffle_counts, _signed_sizes
+from nonloose.cfrac import ContinuedFraction, _block_lengths, _minimal_vertices, expand, value
+from nonloose.decorated import (
+    ClassificationError,
+    DecorationError,
+    LowerSolidTorus,
+    ShuffleClass,
+    Sign,
+    ThickenedTorus,
+    UpperSolidTorus,
+    _less_unsigned,
+    _shuffle_counts,
+)
 from nonloose.farey import (
     INFINITY,
     FareyError,
@@ -740,6 +756,37 @@ def shuffle_euler_on_disk(sc: ShuffleClass, meridian: Slope) -> int:
     lengths, sizes = _signed_sizes(sc.path, sc.unsigned_positions)
     pairings = _block_pairings(sc.path, lengths, sizes, meridian)
     return sum(pairing * (size - 2 * minus) for (pairing, size), minus in zip(pairings, sc.minus_counts))
+
+
+def _signed_sizes(vertices: tuple[Slope, ...], unsigned: Collection[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # edges and signed edges per continued fraction block
+    lengths = _block_lengths(vertices)
+    return tuple(lengths), _less_unsigned(lengths, unsigned)
+
+
+def check_against_context_by_types(d, c) -> None:
+    vertices = d.vertices
+    unsigned = [i for i, s in enumerate(d.signs) if s is Sign.UNSIGNED]
+    if isinstance(c, ThickenedTorus):
+        if unsigned:
+            raise DecorationError("thickened torus paths carry a sign on every edge")
+        if vertices[0] != c.s0 or vertices[-1] != c.s1:
+            raise DecorationError("path endpoints do not match the boundary slopes")
+    elif isinstance(c, LowerSolidTorus):
+        if unsigned != [0]:
+            raise DecorationError("a lower solid torus leaves exactly the first edge unsigned")
+        if vertices[0] != c.meridian or vertices[-1] != c.boundary:
+            raise DecorationError("path endpoints do not match the torus data")
+    elif isinstance(c, UpperSolidTorus):
+        if unsigned != [len(vertices) - 2]:
+            raise DecorationError("an upper solid torus leaves exactly the last edge unsigned")
+        if vertices[0] != c.boundary or vertices[-1] != c.meridian:
+            raise DecorationError("path endpoints do not match the torus data")
+    else:
+        # a lens-space structure needs both terminal edges unsigned, which
+        # a DecoratedPath cannot carry; tightness there is a counting
+        # question answered by count_tight/enumerate_tight
+        raise DecorationError("tightness of decorated paths is not defined on lens contexts")
 
 
 # --- concrete decorated-path machinery, independent of the package's ---

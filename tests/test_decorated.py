@@ -401,8 +401,8 @@ def test_count_tight_matches_orbit_enumeration(rng):
 
 def test_shortening_moves_and_blocks_match_oracles():
     from nonloose.cfrac import _minimal_vertices, block_structure
-    from nonloose.decorated import _context_data, _signed_sizes
-    from oracles import ShorteningGeometry, blocks_of, bounded_slopes, shorten_to_minimal, shortening_moves_by_outer_dots
+    from nonloose.decorated import _context_data
+    from oracles import ShorteningGeometry, _signed_sizes, blocks_of, bounded_slopes, shorten_to_minimal, shortening_moves_by_outer_dots
 
     # the move table of every mask the search reaches, with every allowed
     # unsigned pattern, on non-minimal paths: extensions of minimal paths,
@@ -616,6 +616,81 @@ def test_unknown_context_is_a_decoration_error():
     for query in (count_tight, enumerate_tight):
         with pytest.raises(DecorationError, match=r"^unknown context 'torus'$"):
             query("torus")
+
+
+def test_every_context_query_names_an_unknown_context():
+    d = dpath(integer_run(-3, 0), (P, P, P))
+    for query in (lambda c: is_tight(d, c), count_tight, enumerate_tight):
+        with pytest.raises(DecorationError, match=r"^unknown context 'torus'$"):
+            query("torus")
+        with pytest.raises(DecorationError, match=r"^unknown context None$"):
+            query(None)
+
+
+def _check_outcome(check, d, c):
+    # the message a context check raises, or None when it accepts
+    try:
+        check(d, c)
+    except DecorationError as e:
+        return str(e)
+    return None
+
+
+def test_context_check_matches_the_per_type_oracle():
+    from dataclasses import dataclass
+
+    from nonloose.cfrac import _minimal_vertices
+    from nonloose.decorated import _check_against_context
+    from oracles import bounded_slopes, check_against_context_by_types
+
+    # subclasses keep the messages of the context type they extend
+    @dataclass(frozen=True)
+    class Thick(ThickenedTorus):
+        pass
+
+    @dataclass(frozen=True)
+    class Lower(LowerSolidTorus):
+        pass
+
+    @dataclass(frozen=True)
+    class Upper(UpperSolidTorus):
+        pass
+
+    def kinds(r, s, types=(ThickenedTorus, LowerSolidTorus, UpperSolidTorus)):
+        # every context kind on the path r -> s
+        thick, lower, upper = types
+        return thick(r, s), lower(meridian=r, boundary=s), upper(meridian=s, boundary=r)
+
+    pool = bounded_slopes(8)
+    lenses = (Lens(1, 1), Lens(3, 1), Lens(5, 2))
+    checked, accepted = 0, 0
+    for i, r in enumerate(pool):
+        for s in pool:
+            if r == s:
+                continue
+            verts = _minimal_vertices(r, s)
+            edges = len(verts) - 1
+            shifted = pool[(i + 1) % len(pool)]
+            # correct endpoints, swapped, and each end shifted to another
+            # slope; the subclasses on the correct endpoints; lens spaces,
+            # which refuse every path alike, on the paths from a few slopes
+            ends = [(r, s), (s, r)] + [e for e in ((shifted, s), (r, shifted)) if e[0] != e[1]]
+            contexts = [c for a, b in ends for c in kinds(a, b)] + list(kinds(r, s, (Thick, Lower, Upper)))
+            if i < 4:
+                contexts += lenses
+            # every unsigned placement a decorated path can carry
+            for unsigned in ((), (0,), (edges - 1,)):
+                d = dpath(verts, [U if e in unsigned else P for e in range(edges)])
+                for c in contexts:
+                    want = _check_outcome(check_against_context_by_types, d, c)
+                    assert _check_outcome(_check_against_context, d, c) == want, (verts, unsigned, c)
+                    accepted += want is None
+                    checked += 1
+    assert len(pool) == 88 and checked > 300_000 and accepted > 40_000
+    d = dpath(integer_run(-3, 0), (P, P, U))
+    for c in ("torus", None, 3):
+        assert _check_outcome(check_against_context_by_types, d, c) == "tightness of decorated paths is not defined on lens contexts"
+        assert _check_outcome(_check_against_context, d, c) == f"unknown context {c!r}"
 
 
 def test_lens_structures_list_each_unsigned_edge_once():

@@ -209,3 +209,18 @@ def test_the_block_walk_is_read_only_at_reviewed_readers():
     package = Path(nonloose.__file__).parent
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     assert _primitive_users(modules, "_minimal_blocks") == BLOCK_WALK_READERS
+
+
+# (module, function) of each reader of cfrac._block_lengths, which scans a
+# path's vertex triples: the paths that come from outside the engine.  Every
+# path the engine builds takes its blocks from the block walk
+BLOCK_SCAN_READERS = {
+    ("cfrac", "block_structure"),
+    ("decorated", "_minus_counts"),
+}
+
+
+def test_vertex_triples_are_scanned_only_for_outside_paths():
+    package = Path(nonloose.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert _primitive_users(modules, "_block_lengths") == BLOCK_SCAN_READERS

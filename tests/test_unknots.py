@@ -361,9 +361,8 @@ def test_class_id_text_and_copies():
 def _rule_matches_search(lens, knot, k_min, k_max):
     # compare the closed-form rule with the shortening search on every
     # class at levels k_min..k_max (k_min >= 1), for both signs
-    from oracles import stabilized_counts_by_search
+    from oracles import _signed_sizes, stabilized_counts_by_search
 
-    from nonloose.decorated import _signed_sizes
     from nonloose.unknots import _stabilized_counts
 
     checked = 0
@@ -790,9 +789,9 @@ def test_derived_level_starts_at_the_canonical_slope_below():
 def test_derived_level_checks_a_joined_block_like_the_block_reader():
     # s_{k-1} = 1/0 joins the block -1 -> -1/2, whose edge class differs
     # from the new edge's under the canonical infinity: both readers refuse
-    from oracles import _block_pairings
+    from oracles import _block_pairings, _signed_sizes
 
-    from nonloose.decorated import DecorationError, _signed_sizes
+    from nonloose.decorated import DecorationError
     from nonloose.farey import ZERO
     from nonloose.unknots import _level_below
 
@@ -928,3 +927,33 @@ def test_classify_euler_data_matches_an_explicit_decoration():
         _assert_euler_data(c, e)
         members += 1
     assert members == 7020
+
+
+def _engine_results(lenses, knots):
+    from nonloose.decorated import count_tight, enumerate_tight
+
+    out = []
+    for lens in lenses:
+        out += [count_tight(lens), enumerate_tight(lens)]
+        for knot in knots:
+            out.append(classify(lens, knot, 4))
+            levels = [classes_at_slope(lens, knot, k) for k in range(5)]
+            out += levels
+            out += [stabilize(c, sign) for level in levels[1:4] for c in level for sign in (Sign.PLUS, Sign.MINUS)]
+    return out
+
+
+def test_engine_paths_never_rescan_vertices(monkeypatch):
+    # the engine takes the blocks of every path it builds from the block
+    # walk, so a vertex-triple scan that raises changes none of its results
+    from nonloose import decorated
+
+    def no_rescan(vertices):
+        raise AssertionError(f"rescanned {vertices[0]} -> {vertices[-1]}")
+
+    lenses = [LensSpace(1, 1)] + [LensSpace(p, q) for p in range(2, 21) for q in range(1, p) if gcd(p, q) == 1]
+    knots = [K0, KnotId("K0", False), K1, KnotId("K1", False)]
+    want = _engine_results(lenses, knots)
+    monkeypatch.setattr(decorated, "_block_lengths", no_rescan)
+    assert _engine_results(lenses, knots) == want
+    assert len(want) > 5000

@@ -13,11 +13,13 @@ before it.  The walk goes one continued fraction block at a time: inside
 a block consecutive vertices differ by one fixed vector, so each block
 takes one floor division however long it is.  Vertices are built only
 when a path is expanded from its blocks, each primitive because Farey
-neighbors pair to determinant one, so with no gcd.
+neighbors pair to determinant one, so with no gcd.  Paths and expansions
+built valid by the engine skip their check; those from outside keep it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, pairwise, repeat
 from typing import Iterator, NoReturn
@@ -47,7 +49,8 @@ class FareyPath:
 
     Consecutive vertices are Farey-adjacent, all vertices are distinct,
     and every vertex lies on the closed clockwise arc from the first
-    vertex to the last, so the path winds less than once around.
+    vertex to the last, so the path winds less than once around.  Checked
+    on construction, unless the engine built it valid (_trusted_path).
     """
 
     vertices: tuple[Slope, ...]
@@ -88,6 +91,16 @@ class FareyPath:
         return " ".join(str(s) for s in self.vertices)
 
 
+_new, _set_vertices, _set_coeffs = object.__new__, FareyPath.vertices.__set__, ContinuedFraction.coeffs.__set__
+
+
+def _trusted_path(vertices: tuple[Slope, ...]) -> FareyPath:
+    # FareyPath(vertices) for a path its caller proves valid, with no check
+    path = _new(FareyPath)
+    _set_vertices(path, vertices)
+    return path
+
+
 def _below_minus_one(s: Slope) -> tuple[int, int]:
     # the domain of expand and of the Farey parents: (num, den) of s < -1
     if s.is_infinite or s.num >= -s.den:
@@ -107,7 +120,9 @@ def expand(s: Slope) -> ContinuedFraction:
         coeffs.append(a)
         # remaining value t satisfies num/den = a - 1/t, so t < -1 again
         num, den = -den, num - a * den
-    return ContinuedFraction(tuple(coeffs))
+    cf = _new(ContinuedFraction)
+    _set_coeffs(cf, tuple(coeffs))  # floors of values below -1, so each <= -2
+    return cf
 
 
 def value(cf: ContinuedFraction) -> Slope:
@@ -194,6 +209,8 @@ def _minimal_vertices(r: Slope, s: Slope) -> tuple[Slope, ...]:
         if k == 1:
             out.append(_primitive(vn, vd))  # Farey neighbors pair to +-1
         else:
+            if len(out) + k > sys.maxsize:
+                raise FareyError(f"minimal path from {r} to {s} has too many vertices for a tuple")
             # a block's vertices +-(v - i*w), i = k - 1..0, pair to +-1 in turn
             nums = range(vn - (k - 1) * wn, vn + wn, wn) if wn else repeat(vn, k)
             dens = range(vd - (k - 1) * wd, vd + wd, wd) if wd else repeat(vd, k)
@@ -205,7 +222,7 @@ def _minimal_vertices(r: Slope, s: Slope) -> tuple[Slope, ...]:
 
 def minimal_path(r: Slope, s: Slope) -> FareyPath:
     """The unique shortest clockwise edge-path from r to s."""
-    return FareyPath(_minimal_vertices(r, s))
+    return _trusted_path(_minimal_vertices(r, s))  # the block walk steps clockwise along Farey edges
 
 
 def _block_lengths(vertices: tuple[Slope, ...]) -> list[int]:

@@ -19,7 +19,7 @@ from enum import IntEnum
 from itertools import islice, product
 from typing import Collection, Optional, Union
 
-from .cfrac import FareyPath, _block_lengths, _minimal_blocks, _minimal_vertices
+from .cfrac import FareyPath, _block_lengths, _minimal_blocks, _minimal_vertices, _trusted_path
 from .farey import (
     ZERO,
     SignedVector,
@@ -245,7 +245,7 @@ def shorten_once(d: DecoratedPath, i: int) -> ShorteningResult:
     if not has_edge(vertices[i - 1], vertices[i + 1]):
         raise DecorationError("the neighbors of the removed vertex must be adjacent")
     merged, consistent = _merge(d.signs[i - 1], d.signs[i])
-    new_path = FareyPath(vertices[:i] + vertices[i + 1 :])
+    new_path = _trusted_path(vertices[:i] + vertices[i + 1 :])  # adjacent neighbors keep it clockwise
     new_signs = d.signs[: i - 1] + (merged,) + d.signs[i + 1 :]
     return ShorteningResult(DecoratedPath(new_path, new_signs), consistent)
 
@@ -281,7 +281,7 @@ def shorten_to_minimal(d: DecoratedPath) -> Optional[DecoratedPath]:
         del v[i]
         signs[i - 1 : i + 1] = [merged]
         i = max(1, i - 1)
-    return DecoratedPath(FareyPath(tuple(v)), tuple(signs))
+    return DecoratedPath(_trusted_path(tuple(v)), tuple(signs))  # removals as in shorten_once
 
 
 # the texts of a path's mismatches with a context, by which of its terminal

@@ -462,3 +462,52 @@ def test_block_walk_jumps_a_long_block_at_once():
     assert vertices == tuple(Slope(n) for n in range(-(10**5), 1))
     with pytest.raises(FareyError, match="minimal path needs distinct endpoints"):
         next(_minimal_blocks(r, r))
+
+
+def _check_trusted_expansion(s):
+    cf = expand(s)
+    assert ContinuedFraction(cf.coeffs) == cf and value(cf) == s, s
+
+
+def _check_trusted_builds(r, s):
+    # minimal_path and expand build their values with no dataclass check;
+    # each must equal the value its checked construction gives
+    path = minimal_path(r, s)
+    assert FareyPath(path.vertices) == path and path.vertices[:: len(path)] == (r, s), (r, s)
+    for x in (r, s):
+        if not x.is_infinite and x.num < -x.den:
+            _check_trusted_expansion(x)
+    return len(path)
+
+
+def test_trusted_builds_match_checked_ones_on_bounded_slopes():
+    pool = bounded_slopes(12)
+    assert sum(_check_trusted_builds(r, s) for r in pool for s in pool if r != s) > 100_000
+
+
+def test_trusted_builds_match_checked_ones_on_seeded_slopes():
+    # slopes -num/den drawn as the calculus benchmark draws them, to 0 and
+    # through infinity to 1, until 50 000 edges are built
+    rng, total = random.Random(21), 0
+    while total < 50_000:
+        num = rng.randint(3, 10**6)
+        den = rng.randint(2, num - 1)
+        if gcd(num, den) == 1 and minimal_path_length_bound(Slope(-num, den), ZERO) <= 300:
+            total += _check_trusted_builds(Slope(-num, den), ZERO)
+            total += _check_trusted_builds(Slope(num, den), Slope(-num, den))
+    assert _check_trusted_builds(Slope(1), Slope(-1)) == 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(big_slopes(10**9), big_slopes(10**9))
+def test_trusted_builds_match_checked_ones_on_huge_slopes(r, s):
+    assume(r != s and minimal_path_length_bound(r, s) <= 50000)
+    _check_trusted_builds(r, s)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(slopes_below_minus_one())
+def test_trusted_expansions_match_checked_ones_on_large_slopes(s):
+    # as in the parents test, expansions of 50 000 coefficients or more are skipped
+    assume(minimal_path_length_bound(INFINITY, s) <= 50000)
+    _check_trusted_expansion(s)

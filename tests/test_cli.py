@@ -440,3 +440,29 @@ def test_unreadable_cache_file_is_a_miss(tmp_path, monkeypatch):
 def test_path_check_lower_context_and_infinite_dividing_slope():
     assert invoke(["path", "check", "--context", "lower", "--signs", "-5/2 -2:+ 1/0"]) == (0, "tight\n", "")
     assert invoke(["cable", "tb", "2", "7", "--dividing", "1/0"]) == (0, "12\n", "")
+
+
+def test_a_path_too_long_for_a_tuple_is_a_domain_error():
+    # each path has a block of about 10^20 edges, past sys.maxsize; it must
+    # be refused before any vertex is built, so well inside the child's
+    # address-space limit and with no OverflowError traceback
+    import resource
+    import time
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(nonloose.__file__).parents[1])}
+    cases = {
+        ("classify", "99999999999999999999", "1"): "-499999999999999999996/5 to 0/1",
+        ("farey", "path", "-99999999999999999999", "0"): "-99999999999999999999/1 to 0/1",
+    }
+    for args, ends in cases.items():
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "nonloose.cli", *args], env=env, capture_output=True, text=True, preexec_fn=limit
+        )
+        elapsed = time.perf_counter() - start
+        message = f"error: minimal path from {ends} has too many vertices for a tuple\n"
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", message), args
+        assert elapsed < 2, (args, elapsed)

@@ -762,3 +762,42 @@ def test_tight_count_of_a_long_lens_fits_in_a_gigabyte():
     argv = [sys.executable, "-m", "nonloose.cli", "tight-count", "lens", "100000000", "1"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, preexec_fn=limit)
     assert (done.returncode, done.stdout, done.stderr) == (0, "99999999\n", "")
+
+
+def test_shortened_paths_match_checked_construction():
+    # shorten_once and shorten_to_minimal build their paths with no
+    # FareyPath check; on the non-minimal corpora above (one-vertex
+    # extensions over bounded_slopes(4), joined minimal paths over
+    # bounded_slopes(3)), each must equal its checked construction, and
+    # the walk's result the minimal path
+    from nonloose.cfrac import _minimal_vertices
+    from nonloose.decorated import shorten_to_minimal
+    from oracles import bounded_slopes
+
+    pool = bounded_slopes(4)
+    paths = {v for r in pool for s in pool if r != s for v in _extensions(_minimal_vertices(r, s), pool)}
+    pool = bounded_slopes(3)
+    for r, m, s in product(pool, repeat=3):
+        if len({r, m, s}) == 3:
+            try:
+                paths.add(FareyPath(_minimal_vertices(r, m) + _minimal_vertices(m, s)[1:]).vertices)
+            except FareyError:
+                pass  # the two paths do not join into one clockwise path
+    paths = [v for v in paths if v != _minimal_vertices(v[0], v[-1])]
+    removals = 0
+    for verts in paths:
+        edges = len(verts) - 1
+        for signs in ((P,) * edges, (U,) + (M,) * (edges - 1), (P,) * (edges - 1) + (U,)):
+            d = dpath(verts, signs)
+            final = shorten_to_minimal(d)
+            assert FareyPath(final.vertices) == final.path, verts
+            assert final.vertices == _minimal_vertices(verts[0], verts[-1]), verts
+            for i in range(1, edges):
+                try:
+                    res = shorten_once(d, i)
+                except DecorationError:
+                    continue
+                assert FareyPath(res.path.vertices) == res.path.path, (verts, i)
+                assert res.path.vertices == verts[:i] + verts[i + 1 :], (verts, i)
+                removals += 1
+    assert len(paths) > 1000 and removals > 3000

@@ -224,3 +224,44 @@ def test_vertex_triples_are_scanned_only_for_outside_paths():
     package = Path(nonloose.__file__).parent
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     assert _primitive_users(modules, "_block_lengths") == BLOCK_SCAN_READERS
+
+
+# (module, function) of each reviewed caller of each trusted build in cfrac:
+# _trusted_path builds a FareyPath, and _set_coeffs fills a ContinuedFraction,
+# with no __post_init__, so each caller must prove its value valid in a
+# comment at the call; _set_vertices is read by _trusted_path alone.  Every
+# path and expansion from outside keeps its check
+TRUSTED_PATH_CALLERS = {
+    "_trusted_path": {
+        ("cfrac", "minimal_path"),
+        ("decorated", "shorten_once"),
+        ("decorated", "shorten_to_minimal"),
+    },
+    "_set_vertices": {("cfrac", "_trusted_path")},
+    "_set_coeffs": {("cfrac", "expand")},
+}
+
+
+def test_engine_paths_skip_their_check_only_at_reviewed_callers():
+    package = Path(nonloose.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    for name, callers in TRUSTED_PATH_CALLERS.items():
+        assert _primitive_users(modules, name) == callers, name
+
+
+@pytest.mark.parametrize("name", sorted(TRUSTED_PATH_CALLERS))
+def test_the_trusted_build_scan_finds_every_kind_of_use(name):
+    modules = {
+        "a": ast.parse(
+            f"from .cfrac import {name}\n"
+            "class C:\n"
+            f"    def parse(self): return {name}(())\n"
+            f"build = {name}\n"
+            "def outer():\n"
+            f"    def inner(): return cfrac.{name}(())\n"
+            "    return inner\n"
+            f"def {name}(vertices): return vertices\n"
+        ),
+    }
+    assert _primitive_users(modules, name) == {("a", "parse"), ("a", "<module>"), ("a", "inner")}
+    assert _primitive_users(modules) == set()

@@ -38,7 +38,8 @@ once and derives each lower level from the one above, as stabilize does.
 The class records (ShuffleClass, NonLooseClass, RangeMember) are built by
 private builders that set each dataclass field in field order with
 object.__setattr__, skipping the generated __init__; none of these types
-has a __post_init__.  classify keeps its stabilization graph as plain
+has a __post_init__.  tb_q and rot_q (denominator p >= 1) are built by
+_fraction with one gcd.  classify keeps its stabilization graph as plain
 indices: per level and sign, a dict from a target's minus counts to the
 index of the one class above stabilizing there (a list once a second
 arrives, which is a branching arm), and one claim mark per class.
@@ -174,6 +175,13 @@ def _nonloose_class(lens, knot, dividing_slope, complement, tb_q, rot_q, euler, 
     return c
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    # Fraction(num, den) for den > 0, with no Fraction.__new__: g > 0 keeps den // g > 0
+    g, f = math.gcd(num, den), _new(Fraction)
+    f._numerator, f._denominator = num // g, den // g
+    return f
+
+
 def _euler_rep(x: int, p: int) -> int:
     # representative of x mod p in (-p, p], moved by whole multiples of p
     # only when x starts outside that window
@@ -232,7 +240,7 @@ def _level_classes(lens: LensSpace, knot: KnotId, k: int, level=None, choose=_sh
     # |num s_k|, and e_disk adds one table entry per block
     path, _, sizes, pairings = level or _level(slope_k(lens, knot, k))
     p, orient, s = lens.p, 1 if knot.positive else -1, path[0]
-    tb_q = Fraction(abs(s.num), p)
+    tb_q = _fraction(abs(s.num), p)  # den lens.p >= 1
     unsigned = (len(path) - 2,)
     tables = [[w * (size - 2 * m) for m in range(size + 1)] for w, size in pairings]
     classes, rots = [], []
@@ -240,7 +248,7 @@ def _level_classes(lens: LensSpace, knot: KnotId, k: int, level=None, choose=_sh
         e_disk = sum(map(getitem, tables, counts))
         rot = orient * e_disk
         sc = _shuffle_class(path, counts, unsigned)
-        classes.append(_nonloose_class(lens, knot, s, sc, tb_q, Fraction(rot, p), _euler_rep(-e_disk, p), k))
+        classes.append(_nonloose_class(lens, knot, s, sc, tb_q, _fraction(rot, p), _euler_rep(-e_disk, p), k))  # den lens.p >= 1
         rots.append(rot)
     return classes, rots, sizes
 

@@ -6,16 +6,19 @@ records with the dataclass constructors, keyed its stabilization graph by
 return the same ranges in the same order, member for member, and raise the
 same problems on every stabilization graph a replaced
 unknots._stabilized_counts can build.  The builders' records must behave
-as the constructors' do.
+as the constructors' do, and so must the Fractions unknots._fraction builds.
 """
 
 import copy
 import pickle
 import random
 from dataclasses import FrozenInstanceError, fields, replace
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import classify_by_graph
 
 from nonloose import unknots
@@ -25,6 +28,7 @@ from nonloose.unknots import (
     K1,
     KnotId,
     NonLooseClass,
+    _fraction,
     _nonloose_class,
     _range_member,
     _shuffle_class,
@@ -188,3 +192,59 @@ def test_built_class_caches_its_id_as_the_constructed_one_does():
     assert list(vars(built)) == list(vars(made))
     assert replace(built, k=3).class_id == "s3[0,1,0]"
 
+
+# values _fraction's results meet in arithmetic and comparisons
+OTHERS = (0, 1, -3, 7, 0.0, 0.5, -2.25, 1e300, Fraction(0), Fraction(5, 3), Fraction(-1, 7), Fraction(10**41, 3))
+COMPARISONS = ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def _assert_fraction_as_constructed(num, den):
+    built, made = _fraction(num, den), Fraction(num, den)
+    where = (num, den)
+    assert type(built) is Fraction and built == made, where
+    assert (built.numerator, built.denominator) == (made.numerator, made.denominator), where
+    assert type(built.numerator) is int and type(built.denominator) is int, where
+    assert (hash(built), str(built), repr(built)) == (hash(made), str(made), repr(made)), where
+    for twin in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+        assert type(twin) is Fraction and repr(twin) == repr(made) and hash(twin) == hash(made), where
+    for other in OTHERS:
+        for got, want in (
+            (built + other, made + other),
+            (other + built, other + made),
+            (built * other, made * other),
+            (other * built, other * made),
+        ):
+            assert type(got) is type(want) and got == want and repr(got) == repr(want), (where, other)
+        for op in COMPARISONS:
+            assert getattr(built, op)(other) is getattr(made, op)(other), (where, other, op)
+
+
+def test_built_fractions_match_the_constructor_on_a_grid():
+    for den in range(1, 40):
+        for num in range(-60, 61):
+            _assert_fraction_as_constructed(num, den)
+
+
+@st.composite
+def _num_den(draw):
+    # den > 0; num anywhere, or 0, +-1, or a multiple of den
+    den = draw(st.integers(1, 10**40))
+    bound = 10**40 // den
+    num = draw(
+        st.one_of(
+            st.integers(-(10**40), 10**40),
+            st.sampled_from((0, 1, -1)),
+            st.integers(-bound, bound).map(lambda m: m * den),
+        )
+    )
+    return num, den
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_num_den())
+@example((0, 10**40))
+@example((-(10**40), 10**40))
+@example((10**40 - 1, 10**40))
+@example((-1, 1))
+def test_built_fractions_match_the_constructor_on_large_pairs(pair):
+    _assert_fraction_as_constructed(*pair)

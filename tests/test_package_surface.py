@@ -265,3 +265,33 @@ def test_the_trusted_build_scan_finds_every_kind_of_use(name):
     }
     assert _primitive_users(modules, name) == {("a", "parse"), ("a", "<module>"), ("a", "inner")}
     assert _primitive_users(modules) == set()
+
+
+# (module, function) of each reviewed caller of unknots._fraction, which
+# builds a Fraction with one gcd and no Fraction.__new__, so its sign is
+# right only for a positive denominator; each caller proves its
+# denominator positive in a comment at the call
+FRACTION_BUILDER_CALLERS = {("unknots", "_level_classes")}
+
+
+def test_fractions_skip_their_constructor_only_at_reviewed_callers():
+    package = Path(nonloose.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert _primitive_users(modules, "_fraction") == FRACTION_BUILDER_CALLERS
+
+
+def test_the_fraction_builder_scan_finds_every_kind_of_use():
+    modules = {
+        "a": ast.parse(
+            "from .unknots import _fraction\n"
+            "class C:\n"
+            "    def parse(self): return _fraction(4, 6)\n"
+            "build = _fraction\n"
+            "def outer():\n"
+            "    def inner(): return unknots._fraction(1, 1)\n"
+            "    return inner\n"
+            "def _fraction(num, den): return num, den\n"
+        ),
+    }
+    assert _primitive_users(modules, "_fraction") == {("a", "parse"), ("a", "<module>"), ("a", "inner")}
+    assert _primitive_users(modules) == set()

@@ -2,11 +2,11 @@
 
 Every renderer consumes the same JSON-ready payload dictionary, so
 cached atlases and fresh classifications produce byte-identical output.
-The JSON writer knows the atlas schema: on a payload in it, it emits the
-bytes `json.dumps` gives with `indent=2`, and on anything else (a missing,
-extra or reordered key, a non-dict, non-list or non-str value where the
-schema has one, or a value of a type other than `int`, bools included,
-where it has an int) it raises `ValueError` or `TypeError`.
+The JSON writer has one flat writer per atlas schema object: on a payload
+in the schema it emits the bytes `json.dumps` gives with `indent=2`, and on
+anything else it raises `ValueError` where an object has the wrong type or
+keys, and `TypeError` where a list, str or int (bools excluded) does.  The
+SVG writer formats each member's position once, for its segments and marker.
 """
 
 from __future__ import annotations
@@ -47,11 +47,7 @@ def classification_dict(
                     for m in mr.members
                 ],
                 "stabilizations": [
-                    {
-                        "source": e.source,
-                        "sign": str(e.sign),
-                        "target": e.target if e.target is not None else "loose",
-                    }
+                    {"source": e.source, "sign": str(e.sign), "target": e.target if e.target is not None else "loose"}
                     for e in mr.edges
                 ],
             }
@@ -60,10 +56,10 @@ def classification_dict(
     }
 
 
-def _lay_out(opening: str, items, closing: str, depth: int) -> str:
-    # a non-empty object or array at this nesting depth, as json.dumps lays it out with indent=2
-    pad = "\n" + "  " * (depth + 1)
-    return opening + pad + ("," + pad).join(items) + "\n" + "  " * depth + closing
+def _checked(obj, keys: tuple) -> dict:
+    if not isinstance(obj, dict) or tuple(obj) != keys:
+        raise ValueError(f"expected an atlas object with keys {keys}")
+    return obj
 
 
 def _int(value) -> str:
@@ -72,42 +68,69 @@ def _int(value) -> str:
     return repr(value)
 
 
-def _object(depth: int, **fields):
-    # the writer of an object with exactly these keys, in this order, each
-    # value written by its field's writer
-    keys, writers = tuple(fields), tuple(fields.values())
-    template = _lay_out("{{", (f'"{k}": {{}}' for k in keys), "}}", depth)
-
-    def write(obj) -> str:
-        if not isinstance(obj, dict) or tuple(obj) != keys:
-            raise ValueError(f"expected an atlas object with keys {keys}")
-        return template.format(*[field(v) for field, v in zip(writers, obj.values())])
-
-    return write
+# a new line and the indent of each nesting depth, as json.dumps writes them with indent=2
+_PADS = tuple("\n" + "  " * depth for depth in range(8))
+_SEPS = tuple("," + pad for pad in _PADS)
 
 
-def _array(item, depth: int):
-    # the writer of a list whose values item writes
-    def write(values) -> str:
-        if not isinstance(values, (list, tuple)):
-            raise TypeError(f"expected a list, got {type(values).__name__}")
-        return _lay_out("[", map(item, values), "]", depth) if values else "[]"
-
-    return write
+def _array(values, item, depth: int) -> str:
+    # a list at this nesting depth whose values item writes
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(values).__name__}")
+    return f"[{_PADS[depth + 1]}{_SEPS[depth + 1].join(map(item, values))}{_PADS[depth]}]" if values else "[]"
 
 
-# the atlas schema, in classification_dict's key order
-_EDGE = _object(4, source=_str, sign=_str, target=_str)
-_COMPLEMENT = _object(5, path=_array(_str, 6), minus=_array(_int, 6))
-_MEMBER = _object(4, id=_str, arm=_str, index=_int, tb=_str, rot=_str, slope=_str, complement=_COMPLEMENT)
-_RANGE = _object(
-    2, kind=_str, base=_array(_str, 3), euler=_int, members=_array(_MEMBER, 3), stabilizations=_array(_EDGE, 3)
-)
-_ATLAS = _object(0, lens=_object(1, p=_int, q=_int), knot=_str, k_max=_int, ranges=_array(_RANGE, 1))
+# The writers of the atlas objects: each f-string is its object's layout, and
+# writes the fields in key order, so the first defect in key order raises.
+def _edge(edge) -> str:
+    source, sign, target = _checked(edge, ("source", "sign", "target")).values()
+    return f"""{{
+          "source": {_str(source)},
+          "sign": {_str(sign)},
+          "target": {_str(target)}
+        }}"""
+
+
+def _member(member) -> str:
+    keys = ("id", "arm", "index", "tb", "rot", "slope", "complement")
+    id_, arm, index, tb, rot, slope, complement = _checked(member, keys).values()
+    return f"""{{
+          "id": {_str(id_)},
+          "arm": {_str(arm)},
+          "index": {_int(index)},
+          "tb": {_str(tb)},
+          "rot": {_str(rot)},
+          "slope": {_str(slope)},
+          "complement": {{
+            "path": {_array(_checked(complement, ("path", "minus"))["path"], _str, 6)},
+            "minus": {_array(complement["minus"], _int, 6)}
+          }}
+        }}"""
+
+
+def _range(range_) -> str:
+    keys = ("kind", "base", "euler", "members", "stabilizations")
+    kind, base, euler, members, stabilizations = _checked(range_, keys).values()
+    return f"""{{
+      "kind": {_str(kind)},
+      "base": {_array(base, _str, 3)},
+      "euler": {_int(euler)},
+      "members": {_array(members, _member, 3)},
+      "stabilizations": {_array(stabilizations, _edge, 3)}
+    }}"""
 
 
 def classification_json(payload: dict) -> str:
-    return _ATLAS(payload) + "\n"
+    lens, knot, k_max, ranges = _checked(payload, ("lens", "knot", "k_max", "ranges")).values()
+    return f"""{{
+  "lens": {{
+    "p": {_int(_checked(lens, ("p", "q"))["p"])},
+    "q": {_int(lens["q"])}
+  }},
+  "knot": {_str(knot)},
+  "k_max": {_int(k_max)},
+  "ranges": {_array(ranges, _range, 1)}
+}}\n"""
 
 
 def classification_csv(payload: dict) -> str:
@@ -119,21 +142,13 @@ def classification_csv(payload: dict) -> str:
 
 def classification_table(payload: dict) -> str:
     lens, knot = payload["lens"], payload["knot"]
-    head = (
-        f"L({lens['p']},{lens['q']}) {knot}: {len(payload['ranges'])} mountain "
-        f"ranges (k_max={payload['k_max']})"
-    )
+    head = f"L({lens['p']},{lens['q']}) {knot}: {len(payload['ranges'])} mountain ranges (k_max={payload['k_max']})"
     lines = [head, "-" * len(head)]
     for r in payload["ranges"]:
-        lines.append(
-            f"{r['kind']:<14} base=({r['base'][0]}, {r['base'][1]})  euler={r['euler']}"
-        )
+        lines.append(f"{r['kind']:<14} base=({r['base'][0]}, {r['base'][1]})  euler={r['euler']}")
         for m in r["members"]:
             tag = "base" if m["arm"] == "base" else f"{m['arm']}{m['index']}"
-            lines.append(
-                f"    {tag:<6} tb={m['tb']:<8} rot={m['rot']:<8}"
-                f" slope={m['slope']} [{m['id']}]"
-            )
+            lines.append(f"    {tag:<6} tb={m['tb']:<8} rot={m['rot']:<8} slope={m['slope']} [{m['id']}]")
     return "\n".join(lines) + "\n"
 
 
@@ -171,29 +186,20 @@ def classification_svg(payload: dict) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     if lo_r < 0 < hi_r:
-        parts.append(
-            f'<line x1="{x(0):.1f}" y1="{margin}" x2="{x(0):.1f}" '
-            f'y2="{height - margin}" stroke="#cccccc"/>'
-        )
+        x0 = f"{x(0):.1f}"
+        parts.append(f'<line x1="{x0}" y1="{margin}" x2="{x0}" y2="{height - margin}" stroke="#cccccc"/>')
     for ri, (r, vs) in enumerate(zip(ranges, values)):
         color = colors[ri % len(colors)]
-        points = [(x(rot), y(tb)) for rot, tb in vs]
+        # each member's position, formatted once for its segments and its marker
+        points = [(f"{x(rot):.1f}", f"{y(tb):.1f}") for rot, tb in vs]
         for arm in ("+", "-"):
             chain = [points[0]] + [pt for m, pt in zip(r["members"], points) if m["arm"] == arm]
             for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
-                parts.append(
-                    f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
-                )
+                parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{color}" stroke-width="1.5"/>')
         for m, (cx, cy) in zip(r["members"], points):
-            parts.append(
-                f'<circle class="member" cx="{cx:.1f}" cy="{cy:.1f}" r="4" '
-                f'fill="{color}"><title>rot={m["rot"]} tb={m["tb"]}</title></circle>'
-            )
-        bx, by = points[0]
-        parts.append(
-            f'<text x="{bx:.1f}" y="{by + 16:.1f}" font-size="11" '
-            f'text-anchor="middle" fill="{color}">({r["base"][0]}, {r["base"][1]})</text>'
-        )
+            parts.append(f'<circle class="member" cx="{cx}" cy="{cy}" r="4" fill="{color}">'
+                         f'<title>rot={m["rot"]} tb={m["tb"]}</title></circle>')
+        parts.append(f'<text x="{points[0][0]}" y="{y(vs[0][1]) + 16:.1f}" font-size="11" text-anchor="middle" '
+                     f'fill="{color}">({r["base"][0]}, {r["base"][1]})</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -11,7 +11,9 @@ keep the package's earlier tightness decision: a search over removal masks
 and per-block minus counts that returns every minimal-path class it
 reaches, where the package now takes one walk of consistent shortenings.
 `classification_json_by_dumps` keeps the package's earlier JSON renderer,
-the general-purpose `json.dumps` encoder.  `_block_pairings` and
+the general-purpose `json.dumps` encoder, and `classification_svg_by_floats`
+its earlier SVG renderer, which formats a member's position at each of its
+uses, where the package now formats each position once.  `_block_pairings` and
 `shuffle_euler_on_disk` keep the package's earlier Euler evaluation: each
 block's edge class, read as the set of its edges' endpoint differences,
 paired with the meridian, where the package now reads one pairing per
@@ -729,6 +731,60 @@ def flip_orientation(mr: MountainRange) -> MountainRange:
 def classification_json_by_dumps(payload: dict) -> str:
     """The JSON atlas as the general-purpose encoder lays it out."""
     return json.dumps(payload, indent=2) + "\n"
+
+
+def classification_svg_by_floats(payload: dict) -> str:
+    """The SVG atlas with each coordinate formatted from its float at each use."""
+    ranges = payload["ranges"]
+    values = [[(float(Fraction(m["rot"])), float(Fraction(m["tb"]))) for m in r["members"]] for r in ranges]
+    rots = [rot for vs in values for rot, _ in vs]
+    tbs = [tb for vs in values for _, tb in vs]
+    lo_r, hi_r = min(rots, default=0.0) - 0.5, max(rots, default=0.0) + 0.5
+    lo_t, hi_t = min(tbs, default=0.0) - 0.5, max(tbs, default=0.0) + 0.5
+    width, height, margin = 640, 480, 48
+
+    def x(rot: float) -> float:
+        return margin + (rot - lo_r) / (hi_r - lo_r) * (width - 2 * margin)
+
+    def y(tb: float) -> float:
+        return height - margin - (tb - lo_t) / (hi_t - lo_t) * (height - 2 * margin)
+
+    lens, knot = payload["lens"], payload["knot"]
+    colors = ["#1f6feb", "#d2322d", "#2c8a3d", "#8250df", "#b08800", "#0b7285"]
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f"<title>L({lens['p']},{lens['q']}) {knot} non-loose mountain ranges</title>",
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    if lo_r < 0 < hi_r:
+        parts.append(
+            f'<line x1="{x(0):.1f}" y1="{margin}" x2="{x(0):.1f}" '
+            f'y2="{height - margin}" stroke="#cccccc"/>'
+        )
+    for ri, (r, vs) in enumerate(zip(ranges, values)):
+        color = colors[ri % len(colors)]
+        points = [(x(rot), y(tb)) for rot, tb in vs]
+        for arm in ("+", "-"):
+            chain = [points[0]] + [pt for m, pt in zip(r["members"], points) if m["arm"] == arm]
+            for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
+                parts.append(
+                    f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
+                    f'stroke="{color}" stroke-width="1.5"/>'
+                )
+        for m, (cx, cy) in zip(r["members"], points):
+            parts.append(
+                f'<circle class="member" cx="{cx:.1f}" cy="{cy:.1f}" r="4" '
+                f'fill="{color}"><title>rot={m["rot"]} tb={m["tb"]}</title></circle>'
+            )
+        bx, by = points[0]
+        parts.append(
+            f'<text x="{bx:.1f}" y="{by + 16:.1f}" font-size="11" '
+            f'text-anchor="middle" fill="{color}">({r["base"][0]}, {r["base"][1]})</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def _block_pairings(

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from nonloose import render
 from nonloose.render import classification_dict, classification_json
-from nonloose.unknots import LensSpace, classify, smooth_knot_classes
-from oracles import classification_json_by_dumps
+from nonloose.unknots import KnotId, LensSpace, classify, smooth_knot_classes
+from oracles import classification_json_by_dumps, classification_svg_by_floats
 
 # what cli._read_cached counts as a file the renderer cannot read
 MISSES = (LookupError, TypeError, ValueError, ArithmeticError)
@@ -102,19 +102,28 @@ def _defects(value):
         yield 0
 
 
-def _malformed(payload):
-    # copies of payload with one defect each
+def _with(doc, path, defect):
+    # a copy of doc with defect in place of the value at path
+    if not path:
+        return defect
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = defect
+    return doc
+
+
+def _malformed_at(payload):
+    # (the value a defect replaces, the copy of payload with that one defect)
     for path, value in _values(payload):
         for defect in _defects(value):
-            if not path:
-                yield defect
-                continue
-            doc = json.loads(json.dumps(payload))
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = defect
-            yield doc
+            yield value, _with(payload, path, defect)
+
+
+def _malformed(payload):
+    # copies of payload with one defect each
+    return (doc for _, doc in _malformed_at(payload))
 
 
 def test_renderers_raise_only_misses_on_malformed_atlases():
@@ -131,3 +140,73 @@ def test_renderers_raise_only_misses_on_malformed_atlases():
                 pass
         checked += 1
     assert checked > 500
+
+
+def _atlas(p: int, q: int, knot: KnotId, k_max: int) -> dict:
+    lens = LensSpace(p, q)
+    return classification_dict(lens, knot, k_max, classify(lens, knot, k_max))
+
+
+def test_json_writer_raises_value_error_exactly_where_an_object_is_broken():
+    # the exception names the defect: ValueError for a broken object, TypeError
+    # otherwise, on the corpus of test_renderers_raise_only_misses_on_malformed_atlases
+    checked = 0
+    for value, doc in _malformed_at(_atlas(5, 2, KnotId.parse("K0"), 3)):
+        expected = ValueError if isinstance(value, dict) else TypeError
+        with pytest.raises((TypeError, ValueError)) as caught:
+            classification_json(doc)
+        assert caught.type is expected, (value, doc)
+        checked += 1
+    assert checked == 1505
+
+
+def test_json_writer_raises_for_the_first_defect_in_key_order(rng):
+    # two defects, one breaking an object and one a list, str or int: the
+    # writer reads fields in key order, so the one earlier in the document raises
+    payload = _atlas(5, 2, KnotId.parse("K0"), 3)
+    positions = [(path, value) for path, value in _values(payload) if path]
+    checked = 0
+    while checked < 300:
+        i, j = sorted(rng.sample(range(len(positions)), 2))
+        (first, value), (second, other) = positions[i], positions[j]
+        if second[: len(first)] == first or isinstance(value, dict) == isinstance(other, dict):
+            continue
+        doc = _with(_with(payload, second, next(_defects(other))), first, next(_defects(value)))
+        with pytest.raises((TypeError, ValueError)) as caught:
+            classification_json(doc)
+        assert caught.type is (ValueError if isinstance(value, dict) else TypeError), (first, second)
+        checked += 1
+
+
+@pytest.fixture(scope="module")
+def small_lens_atlases():
+    # every oriented core of every L(p,q) with p <= 13, at k_max 3 and 5
+    return [
+        _atlas(p, q, knot, k_max)
+        for p in range(2, 14)
+        for q in range(1, p)
+        if gcd(p, q) == 1
+        for knot in smooth_knot_classes(LensSpace(p, q))
+        for k_max in (3, 5)
+    ]
+
+
+@pytest.fixture(scope="module")
+def cli_atlases():
+    # the cli benchmark's queries: every coprime q for p in {13, 29}, K0 and K1, k_max 3
+    return [
+        _atlas(p, q, KnotId.parse(name), 3) for p in (13, 29) for q in range(2, p) if gcd(p, q) == 1 for name in ("K0", "K1")
+    ]
+
+
+@pytest.mark.parametrize("atlases, count", [("small_lens_atlases", 362), ("cli_atlases", 76)])
+def test_renderers_match_their_oracles_byte_for_byte(atlases, count, request):
+    payloads = request.getfixturevalue(atlases)
+    assert len(payloads) == count
+    for payload in payloads:
+        text = classification_json(payload)
+        where = (payload["lens"], payload["knot"], payload["k_max"])
+        assert text == classification_json_by_dumps(payload), where
+        # a cached atlas is rendered from the JSON text read back
+        for doc in (payload, json.loads(text)):
+            assert render.classification_svg(doc) == classification_svg_by_floats(doc), where

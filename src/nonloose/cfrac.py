@@ -22,9 +22,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import accumulate, pairwise, repeat
-from typing import Iterator, NoReturn
+from typing import Iterator
 
-from .farey import INFINITY, FareyError, Slope, _primitive
+from .farey import INFINITY, FareyError, Slope, _primitive, cw_between, dot, has_edge
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +50,7 @@ class FareyPath:
     Consecutive vertices are Farey-adjacent, all vertices are distinct,
     and every vertex lies on the closed clockwise arc from the first
     vertex to the last, so the path winds less than once around.  Checked
-    on construction, unless the engine built it valid (_trusted_path).
+    with has_edge and cw_between, skipped for engine paths (_trusted_path).
     """
 
     vertices: tuple[Slope, ...]
@@ -59,30 +59,13 @@ class FareyPath:
         v = self.vertices
         if len(v) < 2:
             raise FareyError("a path needs at least one edge")
-        # dot(x, y) <= 0 iff x <= y in the order with infinity maximal, so
-        # cw_between(a, x, last) is read off the signs of dot(a, x), dot(a,
-        # last) and dot(x, last).  A vertex passing both checks lies strictly
-        # clockwise of a inside the arc a -> last, so vertices repeat only
-        # through an early copy of last (a_last == 0).  That fails too, and
-        # a failure checks distinctness first, as the messages are ordered
-        ln, ld = v[-1].num, v[-1].den
-        a = v[0]
-        an, ad = a.num, a.den
-        a_last = an * ld - ad * ln
-        for x in v[1:]:
-            xn, xd = x.num, x.den
-            ax = an * xd - ad * xn
-            if a_last == 0 or (ax != 1 and ax != -1):
-                self._fail(f"{a} and {x} are not adjacent")
-            x_last = xn * ld - xd * ln
-            if (ax > 0 or x_last > 0) if a_last < 0 else (ax > 0 and x_last > 0):
-                self._fail("path is not traversed clockwise")
-            a, an, ad, a_last = x, xn, xd, x_last
-
-    def _fail(self, message: str) -> NoReturn:
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(v)) != len(v):
             raise FareyError("path vertices must be distinct")
-        raise FareyError(message)
+        for a, x in pairwise(v):
+            if not has_edge(a, x):
+                raise FareyError(f"{a} and {x} are not adjacent")
+            if not cw_between(a, x, v[-1]):  # a != v[-1], as the vertices are distinct
+                raise FareyError("path is not traversed clockwise")
 
     def __len__(self) -> int:
         return len(self.vertices) - 1
@@ -204,7 +187,7 @@ def _minimal_vertices(r: Slope, s: Slope) -> tuple[Slope, ...]:
     # the block walk's vertices; the walk never builds a vertex itself
     out = [r]
     # |dot(v, s)| strictly decreases along a minimal path and is 0 at s
-    limit = abs(r.num * s.den - r.den * s.num) + 1
+    limit = abs(dot(r, s)) + 1
     for vn, vd, wn, wd, k in _minimal_blocks(r, s):
         if k == 1:
             out.append(_primitive(vn, vd))  # Farey neighbors pair to +-1

@@ -534,7 +534,7 @@ def range_counts(lens: LensSpace, knot: KnotId = K0) -> RangeCounts:
 
 def measured_counts(ranges: list[MountainRange], lens: LensSpace) -> RangeCounts:
     """Tally a classification result into the closed-form count format."""
-    tb_low = min(mr.base_tb for mr in ranges)
+    tb_low = min((mr.base_tb for mr in ranges), default=0)
     v_low = sum(1 for mr in ranges if mr.kind is RangeKind.V and mr.base_tb == tb_low)
     back = sum(1 for mr in ranges if mr.kind is RangeKind.BACK_SLASH)
     forward = sum(1 for mr in ranges if mr.kind is RangeKind.FORWARD_SLASH)

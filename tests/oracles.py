@@ -6,6 +6,8 @@ package's closed-form or search-based answers can be checked against an
 implementation that shares no code path with them.  The `*_by_*`
 functions and `check_path_by_arcs` keep the package's earlier step-by-step
 versions of primitives it now computes in closed form, as references.
+`check_path_by_dots` keeps FareyPath's earlier check, one loop over
+determinant signs, where the package now calls has_edge and cw_between.
 `ShorteningGeometry`, `_regroup` and `shorten_to_minimal(geometry, counts)`
 keep the package's earlier tightness decision: a search over removal masks
 and per-block minus counts that returns every minimal-path class it
@@ -44,7 +46,7 @@ from functools import cache
 from itertools import accumulate, islice
 from math import gcd
 from operator import getitem, itemgetter
-from typing import Collection, Optional
+from typing import Collection, NoReturn, Optional
 
 from nonloose.cfrac import ContinuedFraction, _block_lengths, _minimal_vertices, expand, value
 from nonloose.decorated import (
@@ -148,6 +150,40 @@ def check_path_by_arcs(vertices: tuple[Slope, ...]) -> None:
             raise FareyError(f"{v[i - 1]} and {v[i]} are not adjacent")
         if not cw_between_by_order(v[i - 1], v[i], last):
             raise FareyError("path is not traversed clockwise")
+
+
+def check_path_by_dots(vertices: tuple[Slope, ...]) -> None:
+    """FareyPath's earlier validation, one loop over determinant signs that
+    restates has_edge and cw_between and checks distinctness only after a
+    failure; raises FareyError with FareyPath's message on a bad path."""
+    v = vertices
+    if len(v) < 2:
+        raise FareyError("a path needs at least one edge")
+
+    def fail(message: str) -> NoReturn:
+        if len(set(v)) != len(v):
+            raise FareyError("path vertices must be distinct")
+        raise FareyError(message)
+
+    # dot(x, y) <= 0 iff x <= y in the order with infinity maximal, so
+    # cw_between(a, x, last) is read off the signs of dot(a, x), dot(a,
+    # last) and dot(x, last).  A vertex passing both checks lies strictly
+    # clockwise of a inside the arc a -> last, so vertices repeat only
+    # through an early copy of last (a_last == 0).  That fails too, and
+    # a failure checks distinctness first, as the messages are ordered
+    ln, ld = v[-1].num, v[-1].den
+    a = v[0]
+    an, ad = a.num, a.den
+    a_last = an * ld - ad * ln
+    for x in v[1:]:
+        xn, xd = x.num, x.den
+        ax = an * xd - ad * xn
+        if a_last == 0 or (ax != 1 and ax != -1):
+            fail(f"{a} and {x} are not adjacent")
+        x_last = xn * ld - xd * ln
+        if (ax > 0 or x_last > 0) if a_last < 0 else (ax > 0 and x_last > 0):
+            fail("path is not traversed clockwise")
+        a, an, ad, a_last = x, xn, xd, x_last
 
 
 def check_canonical_slopes(slopes) -> None:

@@ -21,11 +21,13 @@ from nonloose.cfrac import (
 )
 from nonloose.farey import INFINITY, ZERO, FareyError, Slope, dot
 from oracles import (
+    _bezout,
     ancestor_by_expansion,
     blocks_of,
     bounded_slopes,
     check_canonical_slopes,
     check_path_by_arcs,
+    check_path_by_dots,
     farthest_larger_neighbor,
     farthest_smaller_neighbor,
     minimal_path_length_bound,
@@ -403,6 +405,63 @@ def test_repeat_of_last_vertex_is_not_distinct():
         with pytest.raises(FareyError, match="path vertices must be distinct"):
             FareyPath(vertices)
         assert _validation_outcome(check_path_by_arcs, vertices) == "path vertices must be distinct"
+
+
+def _same_outcome(vertices):
+    # FareyPath, the arc oracle and the earlier determinant-sign loop agree
+    want = _validation_outcome(check_path_by_arcs, vertices)
+    assert _validation_outcome(FareyPath, vertices) == want, vertices[-4:]
+    assert _validation_outcome(check_path_by_dots, vertices) == want, vertices[-4:]
+    return want
+
+
+def test_late_defects_in_a_long_path_match_both_oracles():
+    v = _minimal_vertices(Slope(-(10**4)), ZERO)  # the path of L(10^4, 1)
+    assert len(v) == 10**4 + 1 and _same_outcome(v) is None
+    # a minimal path has no chord, so swapping two of its vertices away from
+    # the first breaks an edge; the path extended by 1/0 closes the triangle
+    # -1, 0, 1/0, and swapping its last two vertices steps anticlockwise
+    cases = {
+        v[:-3] + v[-2:]: "-3/1 and -1/1 are not adjacent",
+        v[:-3] + (v[-2], v[-3], v[-1]): "-3/1 and -1/1 are not adjacent",
+        v + (INFINITY,): None,
+        v[:-1] + (INFINITY, v[-1]): "path is not traversed clockwise",
+        v[:-2] + (v[-1],) + v[-2:]: "path vertices must be distinct",
+    }
+    for vertices, want in cases.items():
+        assert _same_outcome(vertices) == want
+
+
+def _neighbor(v, k):
+    # the Farey neighbors of v are w + k*v over all k, for one neighbor w
+    x, y = _bezout(v.num, v.den)  # x*num + y*den = 1, so dot(v, (-y, x)) = 1
+    return Slope(k * v.num - y, k * v.den + x)
+
+
+@st.composite
+def neighbor_walks(draw):
+    # a minimal path between two slopes when it is short, else one vertex,
+    # then a few steps to Farey neighbors, and perhaps one vertex dropped,
+    # two swapped or an early copy of the last put in
+    r, s = draw(big_slopes(10**30)), draw(big_slopes(10**30))
+    v = list(_minimal_vertices(r, s) if r != s and minimal_path_length_bound(r, s) <= 300 else (r,))
+    for k in draw(st.lists(st.integers(-3, 3), max_size=4)):
+        v.append(_neighbor(v[-1], k))
+    i, j = sorted(draw(st.integers(0, len(v) - 1)) for _ in range(2))
+    defect = draw(st.sampled_from(["none", "drop", "swap", "copy"]))
+    if defect == "drop":
+        del v[i]
+    elif defect == "swap":
+        v[i], v[j] = v[j], v[i]
+    elif defect == "copy":
+        v.insert(i, v[-1])
+    return tuple(v)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(neighbor_walks())
+def test_path_validation_matches_both_oracles_on_huge_neighbor_walks(vertices):
+    _same_outcome(vertices)
 
 
 def test_path_text_lists_its_vertices():

@@ -690,6 +690,12 @@ def test_range_counts_of_the_three_sphere():
     assert range_counts(lens) == range_counts(lens, K1) == RangeCounts(1, 0, 0)
 
 
+def test_an_empty_tally_counts_no_ranges():
+    from nonloose.unknots import RangeCounts
+
+    assert measured_counts([], LensSpace(5, 2)) == RangeCounts(0, 0, 0)
+
+
 def test_domain_errors_keep_their_messages():
     lens = LensSpace(5, 2)
     c = classes_at_slope(lens, K0, 1)[0]

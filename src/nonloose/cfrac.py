@@ -1,7 +1,8 @@
 """Negative continued fractions and minimal clockwise Farey paths.
 
 Slopes below -1 expand uniquely as a_0 - 1/(a_1 - 1/(... - 1/a_n)) with
-every coefficient a_i <= -2.  The two Farey parents of such a slope n/d,
+every coefficient a_i <= -2, in one floor division per coefficient or
+per run of -2s.  The two Farey parents of such a slope n/d,
 its neighbors of smaller denominator, come in closed form from one
 modular inverse of n mod d: the larger is the "successor", the farthest
 clockwise neighbor above it, and the smaller the "ancestor", whose
@@ -92,17 +93,28 @@ def _below_minus_one(s: Slope) -> tuple[int, int]:
 
 
 def expand(s: Slope) -> ContinuedFraction:
-    """Negative continued fraction of a rational slope s < -1."""
+    """Negative continued fraction of a rational slope s < -1, in one floor
+    division per coefficient or per run of -2s, however long."""
     num, den = _below_minus_one(s)
     coeffs = []
-    while True:
-        if den == 1:
-            coeffs.append(num)
-            break
+    while den > 1:
         a = num // den
+        if a == -2:
+            # -2 <= num/den < -1, so e >= 1; each -2 keeps num + den = -e and
+            # lowers den by e while den > e, leaving den % e, or 1 if e is 1
+            e = -num - den
+            m = (den - 1) // e
+            if m > 1:  # a lone -2 is cheaper as an ordinary step
+                if len(coeffs) + m >= sys.maxsize:  # one more coefficient follows
+                    raise FareyError(f"continued fraction of {s} has too many coefficients for a tuple")
+                coeffs += (-2,) * m
+                den -= m * e
+                num = -e - den
+                continue
         coeffs.append(a)
         # remaining value t satisfies num/den = a - 1/t, so t < -1 again
         num, den = -den, num - a * den
+    coeffs.append(num)
     cf = _new(ContinuedFraction)
     _set_coeffs(cf, tuple(coeffs))  # floors of values below -1, so each <= -2
     return cf

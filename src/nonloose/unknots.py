@@ -48,6 +48,7 @@ arrives, which is a branching arm), and one claim mark per class.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -432,6 +433,8 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
     """
     if k_max < 3:
         raise ClassificationError("k_max must be at least 3 to certify arm patterns")
+    if k_max >= sys.maxsize:  # levels holds k_max + 1 entries
+        raise ClassificationError(f"k_max {k_max} has too many levels for a list")
     levels, meridian = [_level(slope_k(lens, knot, k_max))], _work_meridian(lens, knot)
     for _ in range(k_max):  # levels k_max - 1 down to 0, each from the one above
         above = levels[-1]

@@ -8,6 +8,8 @@ functions and `check_path_by_arcs` keep the package's earlier step-by-step
 versions of primitives it now computes in closed form, as references.
 `check_path_by_dots` keeps FareyPath's earlier check, one loop over
 determinant signs, where the package now calls has_edge and cw_between.
+`expand_by_steps` keeps the package's earlier expansion, one floor
+division per coefficient, where the package now takes a run of -2s in one.
 `ShorteningGeometry`, `_regroup` and `shorten_to_minimal(geometry, counts)`
 keep the package's earlier tightness decision: a search over removal masks
 and per-block minus counts that returns every minimal-path class it
@@ -48,7 +50,7 @@ from math import gcd
 from operator import getitem, itemgetter
 from typing import Collection, NoReturn, Optional
 
-from nonloose.cfrac import ContinuedFraction, _block_lengths, _minimal_vertices, expand, value
+from nonloose.cfrac import ContinuedFraction, _below_minus_one, _block_lengths, _minimal_vertices, expand, value
 from nonloose.decorated import (
     ClassificationError,
     DecorationError,
@@ -303,6 +305,22 @@ def minimal_path_length_bound(r: Slope, s: Slope) -> int:
         q, a, b = b // a, b % a, a
         total += q
     return total
+
+
+def expand_by_steps(s: Slope) -> ContinuedFraction:
+    """Negative continued fraction of s < -1, one floor division per
+    coefficient, run of -2s or not."""
+    num, den = _below_minus_one(s)
+    coeffs = []
+    while True:
+        if den == 1:
+            coeffs.append(num)
+            break
+        a = num // den
+        coeffs.append(a)
+        # remaining value t satisfies num/den = a - 1/t, so t < -1 again
+        num, den = -den, num - a * den
+    return ContinuedFraction(tuple(coeffs))
 
 
 def successor_by_expansion(s: Slope) -> Slope:

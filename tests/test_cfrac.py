@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import chain
 from math import gcd
 
@@ -28,6 +29,7 @@ from oracles import (
     check_canonical_slopes,
     check_path_by_arcs,
     check_path_by_dots,
+    expand_by_steps,
     farthest_larger_neighbor,
     farthest_smaller_neighbor,
     minimal_path_length_bound,
@@ -570,3 +572,51 @@ def test_trusted_expansions_match_checked_ones_on_large_slopes(s):
     # as in the parents test, expansions of 50 000 coefficients or more are skipped
     assume(minimal_path_length_bound(INFINITY, s) <= 50000)
     _check_trusted_expansion(s)
+
+
+def _check_expansion(s):
+    cf = expand(s)
+    assert type(cf.coeffs) is tuple and cf == expand_by_steps(s), s
+    return cf
+
+
+def test_expand_matches_step_oracle():
+    # every -n/d < -1 with n <= 400
+    assert sum(len(_check_expansion(s).coeffs) for s in negative_slopes(400)) > 400_000
+
+
+def test_expand_ends_each_kind_of_run():
+    # -(d + 1)/d is d coefficients -2: its one run has e = 1 and ends the expansion
+    for d in (1, 2, 3, 10, 10**5):
+        assert _check_expansion(Slope(-(d + 1), d)).coeffs == (-2,) * d
+    # a run before one coefficient stops at den == 1; before more, at den > 1
+    for head in ((), (-3,), (-2, -5), (-7, -2, -2, -3)):
+        for m in (1, 2, 3, 50, 1001):
+            for tail in ((), (-3,), (-4,), (-1000,), (-9, -2), (-3, -3, -2, -2), (-5, -2, -7)):
+                cf = ContinuedFraction(head + (-2,) * m + tail)
+                assert _check_expansion(value(cf)) == cf
+
+
+def test_an_expansion_too_long_for_a_tuple_is_refused_before_it_is_built():
+    # a run of d or 2d coefficients -2, with e = 1 or 2, alone or after a -3;
+    # each has sys.maxsize coefficients or more, so no list is asked for
+    for d in (sys.maxsize + 1, 10**20, 10**30):
+        for s in (Slope(-(d + 1), d), Slope(-(2 * d + 3), 2 * d + 1), Slope(-(2 * d + 3), d + 1), Slope(-(4 * d + 3), 2 * d + 1)):
+            with pytest.raises(FareyError, match=f"^continued fraction of {s} has too many coefficients for a tuple$"):
+                expand(s)
+
+
+@st.composite
+def continued_fractions_with_long_runs(draw):
+    # parts of one coefficient <= -3 or of up to 10^4 coefficients -2, so
+    # adjacent runs drawn merge into one longer run
+    single = st.integers(-(10**6), -3).map(lambda a: (a,))
+    run = st.integers(1, 10**4).map(lambda m: (-2,) * m)
+    return ContinuedFraction(tuple(chain.from_iterable(draw(st.lists(single | run, min_size=1, max_size=6)))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(continued_fractions_with_long_runs())
+def test_expand_inverts_value_on_long_runs_of_minus_two(cf):
+    s = value(cf)
+    assert expand(s) == cf == expand_by_steps(s)

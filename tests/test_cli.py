@@ -466,3 +466,39 @@ def test_a_path_too_long_for_a_tuple_is_a_domain_error():
         message = f"error: minimal path from {ends} has too many vertices for a tuple\n"
         assert (done.returncode, done.stdout, done.stderr) == (1, "", message), args
         assert elapsed < 2, (args, elapsed)
+
+
+def _run_in_a_gigabyte(*args):
+    # the CLI as a child process whose address space is limited to 1 GiB, so
+    # an input that asks for a huge allocation fails there, never in this process
+    import resource
+    import time
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(nonloose.__file__).parents[1])}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "nonloose.cli", *args], env=env, capture_output=True, text=True, preexec_fn=limit
+    )
+    return done, time.perf_counter() - start
+
+
+def test_a_kmax_too_large_for_a_list_is_a_domain_error():
+    # classify keeps k_max + 1 levels in a list; past sys.maxsize it must be
+    # refused before the first level is built
+    done, elapsed = _run_in_a_gigabyte("classify", "5", "2", "--kmax", "99999999999999999999")
+    message = "error: k_max 99999999999999999999 has too many levels for a list\n"
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+    assert elapsed < 2, elapsed
+
+
+def test_an_expansion_too_long_for_a_tuple_is_a_domain_error():
+    # -(d + 1)/d expands to d coefficients -2, here about 10^20, past
+    # sys.maxsize; the run must be refused before any list is asked for
+    slope = "-99999999999999999999/99999999999999999998"
+    done, elapsed = _run_in_a_gigabyte("farey", "cf", slope)
+    message = f"error: continued fraction of {slope} has too many coefficients for a tuple\n"
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+    assert elapsed < 2, elapsed

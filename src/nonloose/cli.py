@@ -60,6 +60,8 @@ _PATH_CONTEXTS = {
     "upper": lambda first, last: UpperSolidTorus(meridian=last, boundary=first),
     "lower": LowerSolidTorus,
 }
+# tight-count solid's sides: the argparse choices and the context built
+_SOLID_TORI = {"upper": UpperSolidTorus, "lower": LowerSolidTorus}
 
 
 class _ParseEnd(Exception):
@@ -123,10 +125,10 @@ def _build_parser() -> _Parser:
     t_torus.add_argument("s1")
     t_torus.set_defaults(run=_line(lambda a: count_tight(ThickenedTorus(Slope.parse(a.s0), Slope.parse(a.s1)))))
     t_solid = tsub.add_parser("solid")
-    t_solid.add_argument("side", choices=["upper", "lower"])
+    t_solid.add_argument("side", choices=_SOLID_TORI)
     t_solid.add_argument("meridian")
     t_solid.add_argument("boundary")
-    t_solid.set_defaults(run=_line(_count_solid_torus))
+    t_solid.set_defaults(run=_line(lambda a: count_tight(_SOLID_TORI[a.side](Slope.parse(a.meridian), Slope.parse(a.boundary)))))
 
     fa = sub.add_parser("farey", help="Farey-circle utilities")
     fsub = fa.add_subparsers(dest="op", required=True)
@@ -266,11 +268,6 @@ def _run_classify(args, out) -> None:
     out.write(text)
 
 
-def _count_solid_torus(args) -> int:
-    kind = UpperSolidTorus if args.side == "upper" else LowerSolidTorus
-    return count_tight(kind(Slope.parse(args.meridian), Slope.parse(args.boundary)))
-
-
 def _farey_path(args) -> str:
     path = minimal_path(Slope.parse(args.start), Slope.parse(args.end))
     return json.dumps([str(v) for v in path.vertices])
@@ -324,15 +321,14 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         _PARSER = _build_parser()
     try:
         args = _PARSER.parse_args(_attach_knot_values(argv))
+        if getattr(args, "format", "") is None:
+            default_format = os.environ.get("NONLOOSE_FORMAT", "table")
+            args.format = default_format if default_format in FORMATS else "table"
+        args.run(args, out)
     except _ParseEnd as exc:
         code, text = exc.args
         (err if code else out).write(text)
         return code
-    if getattr(args, "format", "") is None:
-        default_format = os.environ.get("NONLOOSE_FORMAT", "table")
-        args.format = default_format if default_format in FORMATS else "table"
-    try:
-        args.run(args, out)
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return 1
@@ -340,7 +336,15 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early; point it at devnull so the flush at
+        # interpreter exit cannot raise again, then exit 1 with no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -512,17 +512,6 @@ class RangeCounts:
     v_high: int
 
 
-def _counts_from_cf(coeffs: tuple[int, ...]) -> RangeCounts:
-    n = len(coeffs) - 1
-    if n == 0:
-        # integer surgery: one low V and |a_0 + 1| high Vs, no slashes
-        return RangeCounts(1, 0, abs(coeffs[0] + 1))
-    v_high = math.prod(abs(a + 1) for a in coeffs)
-    slashes = math.prod(abs(a + 1) for a in coeffs[:-2])
-    v_low = slashes * abs(coeffs[-2] + 2)
-    return RangeCounts(v_low, slashes, v_high)
-
-
 def range_counts(lens: LensSpace, knot: KnotId = K0) -> RangeCounts:
     """Mountain-range counts from the continued fraction expansion.
 
@@ -532,7 +521,12 @@ def range_counts(lens: LensSpace, knot: KnotId = K0) -> RangeCounts:
     m = _work_meridian(lens, knot)
     if m == Slope(-1, 1):
         return RangeCounts(1, 0, 0)
-    return _counts_from_cf(expand(m).coeffs)
+    coeffs = expand(m).coeffs
+    if len(coeffs) == 1:
+        # integer surgery: one low V and |a_0 + 1| high Vs, no slashes
+        return RangeCounts(1, 0, abs(coeffs[0] + 1))
+    slashes = math.prod(abs(a + 1) for a in coeffs[:-2])
+    return RangeCounts(slashes * abs(coeffs[-2] + 2), slashes, math.prod(abs(a + 1) for a in coeffs))
 
 
 def measured_counts(ranges: list[MountainRange], lens: LensSpace) -> RangeCounts:

@@ -502,3 +502,19 @@ def test_an_expansion_too_long_for_a_tuple_is_a_domain_error():
     message = f"error: continued fraction of {slope} has too many coefficients for a tuple\n"
     assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
     assert elapsed < 2, elapsed
+
+
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr():
+    # the read end of stdout's pipe is closed before the child starts, so its
+    # first write to stdout meets a broken pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(nonloose.__file__).parents[1])}
+    for argv in (["classify", "5", "2"], ["--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "nonloose", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b""), argv

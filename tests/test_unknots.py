@@ -199,11 +199,13 @@ def test_range_counts_examples():
 
 
 def test_range_counts_match_classify_small_sweep():
-    for p in range(2, 21):
+    # the negative cores too, as range_counts reads each core's counts off
+    # the expansion of that core's own meridian
+    for p in range(2, 31):
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            for knot in (K0, K1):
+            for knot in (K0, K1, KnotId("K0", False), KnotId("K1", False)):
                 lens = LensSpace(p, q)
                 assert range_counts(lens, knot) == measured_counts(
                     classify(lens, knot, 3), lens

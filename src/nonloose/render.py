@@ -20,10 +20,11 @@ from .unknots import KnotId, LensSpace, MountainRange
 def classification_dict(
     lens: LensSpace, knot: KnotId, k_max: int, ranges: list[MountainRange]
 ) -> dict:
-    # one lens and knot: the classes of level k share a complement path,
-    # so each level's path is printed once
+    """The JSON-ready atlas of one lens and knot.  Treat it as read-only: members
+    of a level share its path text list, and equal minus counts one minus list."""
     paths = {m.cls.k: m.cls.complement.path for mr in ranges for m in mr.members}
     texts = {k: [str(s) for s in path] for k, path in paths.items()}
+    minus = {c: list(c) for c in {m.cls.complement.minus_counts for mr in ranges for m in mr.members}}
     return {
         "lens": {"p": lens.p, "q": lens.q},
         "knot": str(knot),
@@ -42,13 +43,13 @@ def classification_dict(
                         "tb": str(m.cls.tb_q),
                         "rot": str(m.cls.rot_q),
                         "slope": str(m.cls.dividing_slope),
-                        "complement": {"path": texts[m.cls.k], "minus": list(m.cls.complement.minus_counts)},
+                        "complement": {"path": texts[m.cls.k], "minus": minus[m.cls.complement.minus_counts]},
                     }
                     for m in mr.members
                 ],
                 "stabilizations": [
                     {"source": e.source, "sign": str(e.sign), "target": e.target if e.target is not None else "loose"}
-                    for e in mr.edges
+                    for e in mr._edges()
                 ],
             }
             for mr in ranges

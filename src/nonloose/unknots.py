@@ -36,13 +36,13 @@ tori (Geom. Topol. 4 (2000) 309-368).  classify builds s_{k_max} -> 0
 once and derives each lower level from the one above, as stabilize does.
 
 The class records (ShuffleClass, NonLooseClass, RangeMember) are built by
-private builders that set each dataclass field in field order with
-object.__setattr__, skipping the generated __init__; none of these types
-has a __post_init__.  tb_q and rot_q (denominator p >= 1) are built by
-_fraction with one gcd.  classify keeps its stabilization graph as plain
-indices: per level and sign, a dict from a target's minus counts to the
+private builders that set each field in order with object.__setattr__ and
+skip the generated __init__ (none has a __post_init__); tb_q and rot_q
+(denominator p >= 1) by _fraction with one gcd.  In a classify call, levels
+with equal block sizes share one tuple per minus counts, and the graph is
+plain indices: per level and sign, a dict from a target's index to the
 index of the one class above stabilizing there (a list once a second
-arrives, which is a branching arm), and one claim mark per class.
+arrives: a branching arm), and one claim mark per class.
 """
 
 from __future__ import annotations
@@ -379,14 +379,16 @@ class MountainRange:
 
     @property
     def edges(self) -> tuple[StabEdge, ...]:
+        return tuple(self._edges())  # render walks _edges, so it holds no tuple of them
+
+    def _edges(self):
         base = self.members[0]
-        edges = [StabEdge(base.member_id, sign, None) for sign in _COMPLEMENT_SIGN[base.cls.knot.positive]]
+        yield from (StabEdge(base.member_id, sign, None) for sign in _COMPLEMENT_SIGN[base.cls.knot.positive])
         below = dict.fromkeys("+-", base.member_id)  # last member id on each arm
         for m in self.members[1:]:
             sign, other = _ARM_SIGNS[m.arm]
-            edges += (StabEdge(m.member_id, sign, below[m.arm]), StabEdge(m.member_id, other, None))
+            yield from (StabEdge(m.member_id, sign, below[m.arm]), StabEdge(m.member_id, other, None))
             below[m.arm] = m.member_id
-        return tuple(edges)
 
 
 def _assemble_range(
@@ -433,38 +435,37 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
     """
     if k_max < 3:
         raise ClassificationError("k_max must be at least 3 to certify arm patterns")
-    if k_max >= sys.maxsize:  # levels holds k_max + 1 entries
+    if k_max >= sys.maxsize:  # built holds k_max + 1 entries
         raise ClassificationError(f"k_max {k_max} has too many levels for a list")
-    levels, meridian = [_level(slope_k(lens, knot, k_max))], _work_meridian(lens, knot)
-    for _ in range(k_max):  # levels k_max - 1 down to 0, each from the one above
-        above = levels[-1]
-        levels.append(_level_below(above.path, above.lengths, above.sizes, meridian))
-    # per level k: its classes, their rots times p, its signed block sizes
-    classes, rots, sizes = zip(*(_level_classes(lens, knot, k, level) for k, level in enumerate(reversed(levels))))
+    own = {}  # per signed block sizes, its classes' minus-count tuples, each to its index: equal levels share them
+    choose = lambda s: own.get(s) or own.setdefault(s, {c: n for n, c in enumerate(_shuffle_counts(s))})
+    meridian, built = _work_meridian(lens, knot), []
+    for k in range(k_max, -1, -1):  # level k_max from scratch, each one below from the one above, then dropped
+        level = _level(slope_k(lens, knot, k)) if k == k_max else _level_below(*level[:3], meridian)
+        built.append(_level_classes(lens, knot, k, level, choose))
+    classes, rots, sizes = zip(*reversed(built))  # per level k: its classes, rots times p, signed block sizes
     signs = _COMPLEMENT_SIGN[knot.positive].items()
-    # preds[k][sign][minus counts on level k]: the index of the level k + 1
-    # class stabilizing there with sign, or a list of them if more than one
+    # preds[k][sign][index of a level k class]: index of the level k + 1 class stabilizing there, a list if several
     preds: list[dict[Sign, dict]] = [{sign: {} for sign, _ in signs} for _ in range(k_max)]
     bases = [(0, i) for i in range(len(classes[0]))]
     problems: list[str] = []
-    for k in range(1, k_max + 1):
-        here, below = sizes[k], sizes[k - 1]
-        per_sign = [(on_complement, preds[k - 1][sign]) for sign, on_complement in signs]
-        for i, c in enumerate(classes[k]):
-            tight, minus_counts = 0, c.complement.minus_counts
+    for k, (below, here) in enumerate(zip(sizes, sizes[1:]), start=1):
+        per_sign, rank = [(on_complement, preds[k - 1][sign]) for sign, on_complement in signs], own[below]
+        for i, minus_counts in enumerate(own[here]):
+            tight = 0
             for on_complement, sources in per_sign:
                 counts = _stabilized_counts(minus_counts, on_complement, here, below)
                 if counts is not None:
                     tight += 1
-                    source = sources.setdefault(counts, i)
+                    key = rank.get(counts, counts)  # the target's index; counts no class has key as they are
+                    source = sources.setdefault(key, i)
                     if source != i:  # a second source: the arm through counts branches
-                        sources[counts] = [source, i] if type(source) is int else source + [i]
+                        sources[key] = [source, i] if type(source) is int else source + [i]
             if tight == 2:
-                problems.append(f"{c.class_id}: two tight stabilizations")
+                problems.append(f"{classes[k][i].class_id}: two tight stabilizations")
             elif tight == 0:
                 bases.append((k, i))
-    # (base tb times p, base rot times p, range)
-    ranges: list[tuple[int, int, MountainRange]] = []
+    ranges: list[tuple] = []  # (base tb times p, base rot times p, kind, position, range)
     claimed = [bytearray(len(level)) for level in classes]  # 1 for a class in a certified range
     for k, i in bases:
         base = classes[k][i]
@@ -473,29 +474,27 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
             continue
         arms: dict[Sign, list[int]] = {sign: [] for sign, _ in signs}
         for sign, arm in arms.items():
-            counts = base.complement.minus_counts
+            source = i  # the base, then each member up the arm: indices on levels k, k + 1, ...
             for j in range(k, k_max):
-                source = preds[j][sign].get(counts)
+                source = preds[j][sign].get(source)
                 if source is None:
                     break
                 if type(source) is list:
                     problems.append(f"{base.class_id}: branching {sign!s} arm")
                     break
                 arm.append(source)
-                counts = classes[j + 1][source].complement.minus_counts
         mr = _assemble_range(classes, rots, k, i, arms, k_max, problems)
         if mr is not None:
-            ranges.append((abs(base.dividing_slope.num), rots[k][i], mr))
+            ranges.append((abs(base.dividing_slope.num), rots[k][i], mr.kind.value, len(ranges), mr))
             claimed[k][i] = 1
             for arm in arms.values():
                 for n, j in enumerate(arm, start=k + 1):
                     claimed[n][j] = 1
-    unclaimed = sum(marks.count(0) for marks in claimed)
-    if unclaimed:
+    if unclaimed := sum(marks.count(0) for marks in claimed):
         problems.append(f"{unclaimed} classes outside every certified range")
     if problems:
         raise ClassificationError(*sorted(problems))
-    return [mr for _, _, mr in sorted(ranges, key=lambda r: (r[0], r[1], r[2].kind.value))]
+    return [r[-1] for r in sorted(ranges)]
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,43 @@ def test_a_class_on_two_arms_is_reported_alike(monkeypatch):
     assert _assert_same(lens, K0, 3)[1] == info.value.problems
 
 
+def _foreign_hook(seed, rate):
+    # the true rule, except that with probability rate a tight (class, sign)
+    # lands on minus counts no class of any level has: a negative first
+    # count, or one block more than the level below has
+    true_rule = unknots._stabilized_counts
+
+    def stabilized(counts, sign, sizes, below):
+        got = true_rule(counts, sign, sizes, below)
+        rng = random.Random(f"{seed}|{counts}|{sign.value}|{sizes}|{below}")
+        if got is None or rng.random() >= rate:
+            return got
+        return (-1,) + got[1:] if rng.random() < 0.5 else got + (-1,)
+
+    return stabilized
+
+
+def test_foreign_counts_keep_their_own_tuple_in_the_graph(monkeypatch):
+    # classify keys its graph by the target's class index, found by value
+    # among the level below's tuples; counts no class has must key the
+    # graph as they are, and the problems and ranges stay the oracle's
+    certified, foreign = 0, 0
+    for seed in range(6):
+        hook = _foreign_hook(seed, (0.05, 0.3, 1.0)[seed % 3])
+
+        def counted(counts, sign, sizes, below, hook=hook):
+            nonlocal foreign
+            got = hook(counts, sign, sizes, below)
+            foreign += got is not None and min(got) < 0
+            return got
+
+        monkeypatch.setattr(unknots, "_stabilized_counts", counted)
+        for lens in _lenses(7):
+            for knot in KNOTS:
+                certified += _assert_same(lens, knot, 3 + seed % 2)[0] is not None
+    assert certified > 20 and foreign > 1_000, (certified, foreign)
+
+
 def _fields(record):
     return [getattr(record, f.name) for f in fields(record)]
 

@@ -49,7 +49,7 @@ def classification_dict(
                 ],
                 "stabilizations": [
                     {"source": e.source, "sign": str(e.sign), "target": e.target if e.target is not None else "loose"}
-                    for e in mr._edges()
+                    for e in mr.edges
                 ],
             }
             for mr in ranges

@@ -379,16 +379,14 @@ class MountainRange:
 
     @property
     def edges(self) -> tuple[StabEdge, ...]:
-        return tuple(self._edges())  # render walks _edges, so it holds no tuple of them
-
-    def _edges(self):
         base = self.members[0]
-        yield from (StabEdge(base.member_id, sign, None) for sign in _COMPLEMENT_SIGN[base.cls.knot.positive])
+        edges = [StabEdge(base.member_id, sign, None) for sign in _COMPLEMENT_SIGN[base.cls.knot.positive]]
         below = dict.fromkeys("+-", base.member_id)  # last member id on each arm
         for m in self.members[1:]:
             sign, other = _ARM_SIGNS[m.arm]
-            yield from (StabEdge(m.member_id, sign, below[m.arm]), StabEdge(m.member_id, other, None))
+            edges += (StabEdge(m.member_id, sign, below[m.arm]), StabEdge(m.member_id, other, None))
             below[m.arm] = m.member_id
+        return tuple(edges)
 
 
 def _assemble_range(

@@ -2,7 +2,6 @@
 
     PYTHONHASHSEED=0 python3 -s tools/gc_split.py --workload deep --seed 1
     python3 tools/gc_split.py --workload deep --seed 1 --root ../other-checkout
-    python3 tools/gc_split.py --workload deep --seed 1 --scanned
 
 Runs one workload of bench/workloads.py in this process, through the
 workload's own run_<workload> function, as bench/child.py does, with a
@@ -16,13 +15,9 @@ Prints the workload's own wall_s, then per row (inside the timed calls,
 outside them, the whole process) the collections of each generation and
 the GC seconds, and as its last line one JSON object with the same
 figures.  GC seconds are processor time of this thread
-(time.thread_time_ns), unscaled.  With --scanned it also counts the
-tracked objects each collection scans, by listing the collected
-generations before the collection starts: a count that repeats from run to
-run, but the listing warms the processor cache for the collection and adds
-to wall_s, so take seconds from a run without it.  Standard library only;
-the cli workload writes its cache files into a temporary directory that is
-removed afterwards.
+(time.thread_time_ns), unscaled.  Standard library only; the cli workload
+writes its cache files into a temporary directory that is removed
+afterwards.
 """
 
 from __future__ import annotations
@@ -41,24 +36,18 @@ LAYERS = ("farey", "cfrac", "decorated", "unknots", "render", "cli")
 
 
 class GcSplit:
-    """Collections and seconds, and with scanned the objects scanned,
-    inside and outside the timed calls, from a gc.callbacks hook."""
+    """Collections and seconds inside and outside the timed calls, from a
+    gc.callbacks hook."""
 
-    def __init__(self, scanned: bool) -> None:
-        self.scanned = scanned
+    def __init__(self) -> None:
         self.inside = False  # a timed call is in progress
-        self.rows = {
-            where: {"collections": [0, 0, 0], "gc_s": 0.0, **({"scanned": 0} if scanned else {})}
-            for where in ("inside", "outside")
-        }
+        self.rows = {where: {"collections": [0, 0, 0], "gc_s": 0.0} for where in ("inside", "outside")}
         self._t0 = 0
 
     def __call__(self, phase: str, info: dict) -> None:
         if phase == "start":
             row = self.rows["inside" if self.inside else "outside"]
             row["collections"][info["generation"]] += 1
-            if self.scanned:
-                row["scanned"] += sum(len(gc.get_objects(g)) for g in range(info["generation"] + 1))
             self._t0 = thread_time_ns()
         else:
             elapsed = thread_time_ns() - self._t0
@@ -66,8 +55,8 @@ class GcSplit:
 
     def total(self) -> dict:
         inside, outside = self.rows["inside"], self.rows["outside"]
-        total = {key: inside[key] + outside[key] for key in inside if key != "collections"}
-        return {"collections": [a + b for a, b in zip(inside["collections"], outside["collections"])], **total}
+        return {"collections": [a + b for a, b in zip(inside["collections"], outside["collections"])],
+                "gc_s": inside["gc_s"] + outside["gc_s"]}
 
     def wrap(self, loop_type) -> None:
         # mark the timed calls: the flag is set outside the call's own clock
@@ -89,10 +78,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
     ap.add_argument("--root", default=ROOT, help="the checkout whose src/ and bench/ to run (default: this one)")
-    ap.add_argument("--scanned", action="store_true", help="also count the objects each collection scans")
     args = ap.parse_args(argv)
 
-    split = GcSplit(args.scanned)
+    split = GcSplit()
     gc.callbacks.append(split)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
@@ -109,11 +97,10 @@ def main(argv=None) -> int:
     rows = {**split.rows, "process": split.total()}
     print(f"workload {args.workload} seed {args.seed} size {args.size}: {result['calls']} calls, "
           f"{result['failed']} failed, wall_s {result['wall_s']:.4f}")
-    print(f"{'':8} {'gen0':>6} {'gen1':>6} {'gen2':>6} {'gc_s':>9}" + (f" {'scanned':>10}" if args.scanned else ""))
+    print(f"{'':8} {'gen0':>6} {'gen1':>6} {'gen2':>6} {'gc_s':>9}")
     for where, row in rows.items():
         gen0, gen1, gen2 = row["collections"]
-        print(f"{where:8} {gen0:6d} {gen1:6d} {gen2:6d} {row['gc_s']:9.4f}"
-              + (f" {row['scanned']:10d}" if args.scanned else ""))
+        print(f"{where:8} {gen0:6d} {gen1:6d} {gen2:6d} {row['gc_s']:9.4f}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "size": args.size,
                       "wall_s": result["wall_s"], "failed": result["failed"], **rows}))
     return 1 if result["failed"] else 0

@@ -2,6 +2,9 @@
 
 One-shot queries only; every output is deterministic for a given argv.
 Exit codes: 0 success, 1 domain error, 2 usage error.
+
+Each command line is parsed by its command's own parser, as the top parser
+would pass it on unchanged; the top one only answers help and usage errors.
 """
 
 from __future__ import annotations
@@ -65,8 +68,7 @@ _SOLID_TORI = {"upper": UpperSolidTorus, "lower": LowerSolidTorus}
 
 
 class _ParseEnd(Exception):
-    # argv parsing ended early: (exit code, text for stdout if 0 else stderr)
-    pass
+    """argv parsing ended early: (exit code, text for stdout if 0 else stderr)"""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,8 +103,9 @@ def _fields(value):
 
 
 def _build_parser() -> _Parser:
-    # every leaf parser binds its handler as args.run
-    top = _Parser(prog="nonloose", description=__doc__)
+    # every leaf parser binds its handler as args.run, top.commands maps each
+    # command to its parser, and help omits the docstring's last paragraph
+    top = _Parser(prog="nonloose", description=__doc__ and __doc__.rpartition("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
 
     cl = sub.add_parser("classify", help="mountain ranges of a rational unknot")
@@ -140,7 +143,7 @@ def _build_parser() -> _Parser:
     f_path = fsub.add_parser("path")
     f_path.add_argument("start")
     f_path.add_argument("end")
-    f_path.set_defaults(run=_line(_farey_path))
+    f_path.set_defaults(run=_line(lambda a: json.dumps(list(map(str, minimal_path(Slope.parse(a.start), Slope.parse(a.end)).vertices)))))
     f_cf = fsub.add_parser("cf")
     f_cf.add_argument("slope")
     f_cf.set_defaults(run=_line(lambda a: expand(Slope.parse(a.slope))))
@@ -193,6 +196,7 @@ def _build_parser() -> _Parser:
     ex.add_argument("--ambient", default=None)
     ex.add_argument("--summand-tight", default=None, choices=["yes", "no"])
     ex.set_defaults(run=_line(_exists))
+    top.commands = sub.choices
     return top
 
 
@@ -261,16 +265,12 @@ def _run_classify(args, out) -> None:
         payload = render.classification_dict(lens, knot, args.kmax, ranges)
         if cache_file is not None:
             try:
-                _write_atomic(cache_file, json.dumps(payload, separators=(",", ":")))
+                # a fresh payload shares lists but has no cycles
+                _write_atomic(cache_file, json.dumps(payload, separators=(",", ":"), check_circular=False))
             except OSError as exc:
                 raise ValueError(f"cannot use cache dir {args.cache_dir}: {exc.strerror or exc}") from None
         text = renderer(payload)
     out.write(text)
-
-
-def _farey_path(args) -> str:
-    path = minimal_path(Slope.parse(args.start), Slope.parse(args.end))
-    return json.dumps([str(v) for v in path.vertices])
 
 
 def _path_check(args) -> str:
@@ -320,7 +320,9 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     if _PARSER is None:
         _PARSER = _build_parser()
     try:
-        args = _PARSER.parse_args(_attach_knot_values(argv))
+        argv = _attach_knot_values(argv)
+        command = _PARSER.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
         if getattr(args, "format", "") is None:
             default_format = os.environ.get("NONLOOSE_FORMAT", "table")
             args.format = default_format if default_format in FORMATS else "table"

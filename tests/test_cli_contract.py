@@ -281,3 +281,81 @@ def test_cache_replace_failure_removes_the_temp_file(tmp_path, monkeypatch):
     assert (code, out) == (1, "") and err.count("\n") == 1
     assert err == f"error: cannot use cache dir {tmp_path}: {os.strerror(5)}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def top():
+    # one parser for the comparisons, which never change it
+    return cli._build_parser()
+
+
+def _parsed(parse, argv):
+    # the namespace parse(argv) returns, less command, or how parsing ended
+    try:
+        args = vars(parse(argv))
+    except cli._ParseEnd as end:
+        return end.args
+    args.pop("command", None)
+    return args
+
+
+def _check_command_parser(top, argv):
+    # a line that starts with a command parses alike through the top parser
+    # and through that command's own parser, which run() calls directly
+    argv = cli._attach_knot_values(argv)
+    assert argv and argv[0] in top.commands, argv
+    expected = _parsed(top.parse_args, argv)
+    assert _parsed(top.commands[argv[0]].parse_args, argv[1:]) == expected, argv
+
+
+# tokens argparse treats specially: the end of options, help flags, option
+# prefixes and attached values, negative numbers and unknown options
+_PROBES = [
+    "--", "-h", "--he", "--help=x", "--km", "--kn", "--knot", "-K1", "-5/2", "--cache-dir", "--format=json", "--bogus", "x"
+]
+DISPATCH_EDGES = [
+    ["classify", "--", "5", "2"],
+    ["classify", "--help=x"],
+    ["classify", "5", "2", "--km", "4"],
+    ["classify", "5", "2", "--he"],
+    ["classify", "5", "2", "--knot", "-K1"],
+]
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data(), probes=st.lists(st.sampled_from(_PROBES), max_size=3))
+def test_command_parser_matches_the_top_parser_over_token_grammar(top, leaf, data, probes):
+    argv = data.draw(LEAVES[leaf], label="argv")
+    at = data.draw(st.integers(1, len(argv)), label="at")
+    _check_command_parser(top, argv[:at] + probes + argv[at:])
+
+
+def test_command_parser_matches_the_top_parser_on_corpus_and_edges(top):
+    for argv in CORPUS + DISPATCH_EDGES:
+        _check_command_parser(top, argv)
+
+
+class _TopParserReached(Exception):
+    pass
+
+
+def test_command_lines_never_reach_the_top_parser(monkeypatch):
+    monkeypatch.delenv("NONLOOSE_FORMAT", raising=False)
+    # the oracle: a parser with no commands to hand lines to parses them all
+    oracle = cli._build_parser()
+    oracle.commands = {}
+    monkeypatch.setattr(cli, "_PARSER", oracle)
+    expected = [invoke(argv) for argv in CORPUS + DISPATCH_EDGES]
+
+    def refuse(argv):
+        raise _TopParserReached(argv)
+
+    top = cli._build_parser()
+    top.parse_args = refuse
+    monkeypatch.setattr(cli, "_PARSER", top)
+    assert [invoke(argv) for argv in CORPUS + DISPATCH_EDGES] == expected
+    # what starts with no command is the top parser's alone
+    for argv in ([], ["-h"], ["--help"], ["bogus"], ["bogus", "5", "2"], ["--knot", "K0"]):
+        with pytest.raises(_TopParserReached):
+            invoke(argv)

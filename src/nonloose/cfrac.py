@@ -1,21 +1,21 @@
 """Negative continued fractions and minimal clockwise Farey paths.
 
 Slopes below -1 expand uniquely as a_0 - 1/(a_1 - 1/(... - 1/a_n)) with
-every coefficient a_i <= -2, in one floor division per coefficient or
-per run of -2s.  The two Farey parents of such a slope n/d,
-its neighbors of smaller denominator, come in closed form from one
-modular inverse of n mod d: the larger is the "successor", the farthest
-clockwise neighbor above it, and the smaller the "ancestor", whose
-expansion drops a_n.  Minimal clockwise paths step from each vertex to
-its farthest clockwise neighbor inside the remaining arc, read off after
-a determinant-one change of basis sends the vertex to infinity; only the
-first vertex needs an inverse, as each later basis comes from the vertex
-before it.  The walk goes one continued fraction block at a time: inside
-a block consecutive vertices differ by one fixed vector, so each block
-takes one floor division however long it is.  Vertices are built only
-when a path is expanded from its blocks, each primitive because Farey
-neighbors pair to determinant one, so with no gcd.  Paths and expansions
-built valid by the engine skip their check; those from outside keep it.
+every coefficient a_i <= -2, in one floor division per coefficient or per
+run of -2s.  The two Farey parents of such a slope n/d, its neighbors of
+smaller denominator, come in closed form from one modular inverse, of -n
+mod d: the larger is the "successor", the farthest clockwise neighbor
+above it, and the smaller the "ancestor", whose expansion drops a_n.
+Minimal clockwise paths step from each vertex to its farthest clockwise
+neighbor inside the remaining arc, read off after a determinant-one change
+of basis sends the vertex to infinity; only the first vertex needs an
+inverse, as each later basis comes from the vertex before it, and equal
+endpoints are refused by their pairing, 0.  The walk goes one continued
+fraction block at a time: inside a block consecutive vertices differ by
+one fixed vector, so each block takes one floor division however long it
+is.  Vertices are built only when a path is expanded from its blocks,
+each primitive because Farey neighbors pair to determinant one, so with
+no gcd.  Paths and expansions built valid by the engine skip their check.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _trusted_path(vertices: tuple[Slope, ...]) -> FareyPath:
 
 def _below_minus_one(s: Slope) -> tuple[int, int]:
     # the domain of expand and of the Farey parents: (num, den) of s < -1
-    if s.is_infinite or s.num >= -s.den:
+    if s.num >= -s.den:  # infinity, stored as 1/0, is caught too
         raise FareyError(f"negative continued fractions require s < -1, got {s}")
     return s.num, s.den
 
@@ -131,9 +131,9 @@ def value(cf: ContinuedFraction) -> Slope:
 
 def _larger_parent(s: Slope) -> tuple[int, int]:
     # the larger Farey parent u/v of s = n/d < -1 has n*v - d*u = -1 and
-    # 0 <= v < d, so v = -n^-1 mod d; v is 0 exactly when s is an integer
+    # 0 <= v < d, so v = (-n)^-1 mod d, one inverse, 0 exactly when d = 1
     n, d = _below_minus_one(s)
-    v = -pow(n, -1, d) % d
+    v = pow(-n, -1, d)
     return (1 + v * n) // d, v
 
 
@@ -175,13 +175,13 @@ def _minimal_blocks(r: Slope, s: Slope) -> Iterator[tuple[int, int, int, int, in
     # outer vertices pair to -2.  Such a step goes v -> -(v + w), w = v + u,
     # and |d| falls by |d + e| at each, so a run takes |d| // |d + e| steps,
     # the last of them onto s when that divides
-    if r == s:
-        raise FareyError("minimal path needs distinct endpoints")
     sn, sd = s.num, s.den
     vn, vd = r.num, r.den
+    d = vn * sd - vd * sn
+    if not d:  # canonical slopes pair to 0 exactly when equal
+        raise FareyError("minimal path needs distinct endpoints")
     x = pow(vn, -1, vd) if vd else 1
     un, ud = (1 - x * vn) // vd if vd else 0, -x
-    d = vn * sd - vd * sn
     e = un * sd - ud * sn
     while d:
         # a step of any n opens the block, then a run of n = -2 steps

@@ -1,13 +1,13 @@
 """Exact arithmetic on the Farey circle of slopes.
 
 A slope is a point of Q u {infinity} stored as a coprime integer pair
-(num, den) with den >= 0; infinity is canonically 1/0.  The clockwise
-cyclic order used throughout the package visits 0, the positive rationals
-increasing, infinity, and then the negative rationals increasing back
-toward 0.  Every comparison is an exact integer cross-multiplication;
-no floating point is ever used.  The value types are slotted frozen
-dataclasses: no per-instance dict, and a slope's hash is computed from
-its pair when asked for, never stored.  A path vertex, primitive by its
+(num, den) with den >= 0; infinity is canonically 1/0.  So equal slopes
+are exactly the pairs whose pairing dot is 0: farey_sum and the block
+walk detect equality that way.  Clockwise order runs from 0 up through
+the positive rationals to infinity, then up through the negative ones
+back to 0; every comparison is an exact integer cross-multiplication.
+Values are slotted frozen dataclasses; a slope's hash is computed from
+its pair when asked, never stored.  A path vertex, primitive by its
 Farey edges, is built in canonical form with no gcd (_primitive).
 """
 
@@ -145,9 +145,9 @@ def farey_sum(x: Slope, y: Slope) -> Slope:
     farey_sum(ZERO, INFINITY) is 1 and farey_sum(Slope(-p), INFINITY)
     is -(p + 1).
     """
-    if x == y:
+    if not (d := dot(x, y)):  # canonical slopes pair to 0 exactly when equal
         raise FareyError("mediant of equal slopes is undefined")
-    if not has_edge(x, y):
+    if d not in (1, -1):
         raise FareyError(f"{x} and {y} are not adjacent in the Farey graph")
     if x.is_infinite or y.is_infinite:
         f = y if x.is_infinite else x

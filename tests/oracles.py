@@ -6,6 +6,10 @@ package's closed-form or search-based answers can be checked against an
 implementation that shares no code path with them.  The `*_by_*`
 functions and `check_path_by_arcs` keep the package's earlier step-by-step
 versions of primitives it now computes in closed form, as references.
+`mediant_by_equality` keeps farey_sum's earlier operand checks, slope
+equality and then has_edge, where the package now reads both from one
+pairing, and `larger_parent_by_negation` its earlier Farey parent, the
+negated inverse of n reduced mod d, where the package now inverts -n.
 `check_path_by_dots` keeps FareyPath's earlier check, one loop over
 determinant signs, where the package now calls has_edge and cw_between.
 `expand_by_steps` keeps the package's earlier expansion, one floor
@@ -101,6 +105,21 @@ def iterated_sum_by_steps(x: Slope, k: int, y: Slope) -> Slope:
     for _ in range(k):
         out = farey_sum(out, y)
     return out
+
+
+def mediant_by_equality(x: Slope, y: Slope) -> Slope:
+    """farey_sum with its equal-slope check by Slope equality and its
+    adjacency check by has_edge."""
+    if x == y:
+        raise FareyError("mediant of equal slopes is undefined")
+    if not has_edge(x, y):
+        raise FareyError(f"{x} and {y} are not adjacent in the Farey graph")
+    if x.is_infinite or y.is_infinite:
+        f = y if x.is_infinite else x
+        inf_num = 1 if f.num >= 0 else -1
+        # a mediant of Farey neighbours pairs to +-1 with each of them
+        return _primitive(f.num + inf_num, f.den)
+    return _primitive(x.num + y.num, x.den + y.den)
 
 
 def euler_rep_by_subtraction(x: int, p: int) -> int:
@@ -343,6 +362,14 @@ def ancestor_by_expansion(s: Slope) -> Slope:
     if len(coeffs) == 1:
         return INFINITY
     return value(ContinuedFraction(coeffs[:-1]))
+
+
+def larger_parent_by_negation(s: Slope) -> tuple[int, int]:
+    """(u, v) of the larger Farey parent u/v of s = n/d < -1, with
+    v = -(n^-1 mod d) mod d."""
+    n, d = _below_minus_one(s)
+    v = -pow(n, -1, d) % d
+    return (1 + v * n) // d, v
 
 
 def bounded_slopes(height: int) -> list[Slope]:

@@ -11,6 +11,7 @@ from nonloose.cfrac import (
     ContinuedFraction,
     FareyPath,
     _block_lengths,
+    _larger_parent,
     _minimal_blocks,
     _minimal_vertices,
     ancestor,
@@ -32,6 +33,7 @@ from oracles import (
     expand_by_steps,
     farthest_larger_neighbor,
     farthest_smaller_neighbor,
+    larger_parent_by_negation,
     minimal_path_length_bound,
     minimal_vertices_by_bezout,
     minimal_vertices_by_steps,
@@ -620,3 +622,47 @@ def continued_fractions_with_long_runs(draw):
 def test_expand_inverts_value_on_long_runs_of_minus_two(cf):
     s = value(cf)
     assert expand(s) == cf == expand_by_steps(s)
+
+
+def test_infinity_is_refused_by_expansion_and_parents_with_one_text():
+    for f in (expand, successor, ancestor):
+        for s in (INFINITY, Slope(-3, 0)):
+            with pytest.raises(FareyError) as exc:
+                f(s)
+            assert str(exc.value) == "negative continued fractions require s < -1, got 1/0"
+
+
+@pytest.mark.parametrize("r", [INFINITY, ZERO, Slope(-1), Slope(5, 3), Slope(-(10**30), 7)], ids=str)
+def test_equal_endpoints_are_refused_with_one_text(r):
+    walks = (minimal_path, _minimal_vertices, lambda a, b: next(_minimal_blocks(a, b)))
+    for walk in walks:
+        for s in (r, Slope(r.num, r.den)):
+            with pytest.raises(FareyError) as exc:
+                walk(r, s)
+            assert str(exc.value) == "minimal path needs distinct endpoints"
+
+
+def _calculus_slopes(seed):
+    # the calculus benchmark's slopes for a seed: -num/den drawn until their
+    # minimal paths to 0, each of at most 300 vertices, hold 170 000 vertices
+    rng, seen, slopes, vertices = random.Random(seed), set(), [], 0
+    while vertices < 170_000:
+        num = rng.randint(3, 10**6)
+        den = rng.randint(2, num - 1)
+        if gcd(num, den) != 1 or (num, den) in seen:
+            continue
+        length = 1 + sum(block[-1] for block in _minimal_blocks(Slope(-num, den), ZERO))
+        if length <= 300:
+            seen.add((num, den))
+            slopes.append(Slope(-num, den))
+            vertices += length
+    return slopes
+
+
+def test_larger_parent_matches_the_negation_oracle():
+    integers = [Slope(-n) for n in range(2, 3000)]
+    integers += [Slope(-(10**k) + j) for k in range(4, 31) for j in (-1, 0, 1)]
+    seeded = _calculus_slopes(1)
+    assert len(seeded) == 4762
+    for s in integers + seeded:
+        assert _larger_parent(s) == larger_parent_by_negation(s), s

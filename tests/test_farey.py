@@ -21,7 +21,8 @@ from nonloose.farey import (
     has_edge,
     iterated_sum,
 )
-from oracles import bounded_slopes, check_canonical_slopes, intersection_count, iterated_sum_by_steps
+from nonloose.cfrac import ancestor, successor
+from oracles import bounded_slopes, check_canonical_slopes, intersection_count, iterated_sum_by_steps, mediant_by_equality
 
 
 @st.composite
@@ -263,3 +264,62 @@ def test_mediants_are_canonical_and_match_the_step_oracle():
             built.append(s)
         built.append(m)
     check_canonical_slopes(built)
+
+
+def _mediant_outcome(mediant, x, y):
+    # the mediant's type and pair, or the text of its FareyError
+    try:
+        m = mediant(x, y)
+    except FareyError as exc:
+        return str(exc)
+    return type(m), m.num, m.den
+
+
+def test_mediant_checks_match_the_equality_oracle_on_bounded_slopes():
+    pool = bounded_slopes(8)
+    outcomes = []
+    for x in pool:
+        for y in pool:
+            got = _mediant_outcome(farey_sum, x, y)
+            assert got == _mediant_outcome(mediant_by_equality, x, y), (x, y)
+            outcomes.append(got)
+    # equal, adjacent and non-adjacent pairs all occur
+    assert outcomes.count("mediant of equal slopes is undefined") == len(pool)
+    assert sum(isinstance(o, tuple) for o in outcomes) > 300
+    assert sum(isinstance(o, str) and o.endswith("not adjacent in the Farey graph") for o in outcomes) > 5000
+
+
+@st.composite
+def canonical_slopes(draw, height):
+    num = draw(st.integers(-height, height))
+    den = draw(st.one_of(st.just(1), st.integers(0, height)))
+    return Slope(num, den if num or den else 1)
+
+
+@st.composite
+def slopes_below_minus_one(draw, height):
+    n = draw(st.integers(2, height))
+    return Slope(-n, draw(st.one_of(st.just(1), st.integers(1, n - 1))))
+
+
+@st.composite
+def parent_edges(draw, height):
+    # a Farey edge (s, successor(s)) or (s, ancestor(s)), in either order;
+    # the ancestor of a negative integer is 1/0
+    s = draw(slopes_below_minus_one(height))
+    parent = draw(st.sampled_from([successor, ancestor]))(s)
+    return tuple(draw(st.permutations([s, parent])))
+
+
+def mediant_operands(height):
+    # arbitrary pairs, mostly not adjacent; equal pairs, one of them a
+    # second object; and Farey edges to a parent
+    one = st.one_of(st.sampled_from([INFINITY, ZERO]), canonical_slopes(height))
+    return st.one_of(st.tuples(one, one), one.map(lambda s: (s, Slope(s.num, s.den))), parent_edges(height))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from([10**6, 10**30]).flatmap(mediant_operands))
+def test_mediant_checks_match_the_equality_oracle(pair):
+    x, y = pair
+    assert _mediant_outcome(farey_sum, x, y) == _mediant_outcome(mediant_by_equality, x, y)

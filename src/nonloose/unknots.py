@@ -42,7 +42,8 @@ skip the generated __init__ (none has a __post_init__); tb_q and rot_q
 with equal block sizes share one tuple per minus counts, and the graph is
 plain indices: per level and sign, a dict from a target's index to the
 index of the one class above stabilizing there (a list once a second
-arrives: a branching arm), and one claim mark per class.
+arrives: a branching arm), and one claim mark per class.  Consecutive
+levels with the same sizes here and below share one stabilization map.
 """
 
 from __future__ import annotations
@@ -218,11 +219,20 @@ def _level(s: Slope) -> _Level:
 
 
 def _level_below(path: tuple[Slope, ...], lengths: tuple[int, ...], sizes: tuple[int, ...], meridian: Slope) -> _Level:
-    # one level down: s_{k-1} (s_k less the meridian's vector), then the path
-    # from the end of the first block (module docstring).  The new edge joins
-    # the old second block if its outer vertices pair to +-2 as in
-    # cfrac._block_lengths, else is a block alone, unsigned if it is the last.
-    # Later blocks were read at this level, so only a joined block is checked
+    """One level down: s_{k-1} (s_k less the meridian's vector m), then the
+    path from the end of the first block (module docstring).  The new edge
+    joins the old second block if its outer vertices pair to +-2 as in
+    cfrac._block_lengths, else is a block alone, unsigned if it is the last.
+    Later blocks were read at this level, so only a joined block is checked.
+
+    Levels repeat from k = 2 up.  For k >= 1 the parents of s_k are s_{k-1}
+    and m, its neighbors lie between them, and m lies between s_k and 0: the
+    path is s_k, then one path m -> v -> ... -> 0.  It is minimal, so
+    |dot(s_k, v)| >= 2 for all k >= 1, and dot(s_k, v) moves by dot(m, v) =
+    +-1 a level, so away from 0: it is at least 3 from k = 2, the new edge is
+    a block alone, later blocks and weights are those from m, and the first
+    weight m.num - s_k.num moves by p a level.
+    """
     # s_{k-1} = s_k - meridian pairs to +-1 with the meridian
     s = _primitive(path[0].num - meridian.num, path[0].den - meridian.den)
     path, lengths, sizes = (s,) + path[lengths[0] :], lengths[1:], sizes[1:]
@@ -430,6 +440,12 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
     s_k for k <= k_max and pattern-matches it into Vs and slashes.  Arms
     are verified member by member up to k_max; a pattern that cannot be
     certified raises instead of guessing, with every problem found.
+
+    Certified for every k: from level 2 up the levels share their sizes
+    (_level_below), so from level 3 up a tight stabilization keeps the minus
+    counts (the first is e*n_0 on both levels) and moves rot by one multiple
+    of p a level; each arm reaching level 3 repeats one class upward, so the
+    kinds, bases and Euler classes do not depend on k_max.
     """
     if k_max < 3:
         raise ClassificationError("k_max must be at least 3 to certify arm patterns")
@@ -444,25 +460,33 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
     classes, rots, sizes = zip(*reversed(built))  # per level k: its classes, rots times p, signed block sizes
     signs = _COMPLEMENT_SIGN[knot.positive].items()
     # preds[k][sign][index of a level k class]: index of the level k + 1 class stabilizing there, a list if several
-    preds: list[dict[Sign, dict]] = [{sign: {} for sign, _ in signs} for _ in range(k_max)]
+    preds: list[dict[Sign, dict]] = []
     bases = [(0, i) for i in range(len(classes[0]))]
     problems: list[str] = []
+    tuples = rank = None  # own[here] and own[below] of the last level whose map was evaluated
     for k, (below, here) in enumerate(zip(sizes, sizes[1:]), start=1):
-        per_sign, rank = [(on_complement, preds[k - 1][sign]) for sign, on_complement in signs], own[below]
-        for i, minus_counts in enumerate(own[here]):
-            tight = 0
-            for on_complement, sources in per_sign:
-                counts = _stabilized_counts(minus_counts, on_complement, here, below)
-                if counts is not None:
-                    tight += 1
-                    key = rank.get(counts, counts)  # the target's index; counts no class has key as they are
-                    source = sources.setdefault(key, i)
-                    if source != i:  # a second source: the arm through counts branches
-                        sources[key] = [source, i] if type(source) is int else source + [i]
-            if tight == 2:
-                problems.append(f"{classes[k][i].class_id}: two tight stabilizations")
-            elif tight == 0:
-                bases.append((k, i))
+        if own[here] is not tuples or own[below] is not rank:  # else reuse that map: it is a function of the sizes
+            tuples, rank, twice, loose, by_sign = own[here], own[below], [], [], {sign: {} for sign, _ in signs}
+            per_sign = [(on_complement, by_sign[sign]) for sign, on_complement in signs]
+            for i, minus_counts in enumerate(tuples):
+                tight = 0
+                for on_complement, sources in per_sign:
+                    counts = _stabilized_counts(minus_counts, on_complement, here, below)
+                    if counts is not None:
+                        tight += 1
+                        key = rank.get(counts, counts)  # the target's index; counts no class has key as they are
+                        source = sources.setdefault(key, i)
+                        if source != i:  # a second source: the arm through counts branches
+                            sources[key] = [source, i] if type(source) is int else source + [i]
+                if tight == 2:
+                    twice.append(i)
+                elif tight == 0:
+                    loose.append(i)
+        preds.append(by_sign)  # shared by the levels that reuse it, which only read it
+        for i in twice:
+            problems.append(f"{classes[k][i].class_id}: two tight stabilizations")
+        for i in loose:
+            bases.append((k, i))
     ranges: list[tuple] = []  # (base tb times p, base rot times p, kind, position, range)
     claimed = [bytearray(len(level)) for level in classes]  # 1 for a class in a certified range
     for k, i in bases:

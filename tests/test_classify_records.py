@@ -87,11 +87,12 @@ def test_classify_equals_the_graph_oracle_on_the_deep_inputs():
         assert _assert_same(LensSpace(p, q), KnotId(core), k_max)[0]
 
 
-def _hook(seed, rate):
+def _hook(seed, rate, true_rule=None):
     # a deterministic replacement for unknots._stabilized_counts: the true
     # rule, except that with probability rate a (class, sign) is loose or
-    # lands on a class of the level below drawn from the seed
-    true_rule = unknots._stabilized_counts
+    # lands on a class of the level below drawn from the seed.  true_rule
+    # defaults to the module's rule as it is now, an earlier hook if one is set
+    true_rule = true_rule or unknots._stabilized_counts
 
     def stabilized(counts, sign, sizes, below):
         rng = random.Random(f"{seed}|{counts}|{sign.value}|{sizes}|{below}")
@@ -128,6 +129,39 @@ def test_problem_lists_match_the_graph_oracle_on_hooked_graphs(monkeypatch):
     assert certified > 50 and kinds == set(PROBLEM_KINDS) - {"Euler class"}, (certified, kinds)
 
 
+def test_problem_lists_match_the_graph_oracle_on_unnested_hooks(monkeypatch):
+    # as above, but every hook wraps the true rule, read once, so seed s runs
+    # its own hook alone; k_max up to 6 lets levels 4 to 6 share level 3's
+    # map, and their problems must still be their own
+    true_rule, certified, kinds = unknots._stabilized_counts, 0, set()
+    for seed in range(12):
+        monkeypatch.setattr(unknots, "_stabilized_counts", _hook(seed, (0.01, 0.1, 1.0)[seed % 3], true_rule))
+        for lens in _lenses(7):
+            for knot in KNOTS:
+                ranges, problems = _assert_same(lens, knot, 3 + seed % 4)
+                certified += ranges is not None
+                kinds.update(next(k for k in PROBLEM_KINDS if k in problem) for problem in problems or ())
+    assert certified > 50 and kinds == set(PROBLEM_KINDS) - {"Euler class"}, (certified, kinds)
+
+
+def test_each_repeated_stabilization_map_is_evaluated_once(monkeypatch):
+    # levels 4 to 800 of L(5,2), K0 have level 3's sizes here and below, so
+    # classify asks the rule for both signs of the classes on levels 1 to 3
+    # only, and still returns the oracle's ranges, which asks on every level
+    true_rule, calls, lens = unknots._stabilized_counts, 0, LensSpace(5, 2)
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return true_rule(*args)
+
+    monkeypatch.setattr(unknots, "_stabilized_counts", counted)
+    ranges = classify(lens, K0, 800)
+    assert calls == 2 * sum(len(classes_at_slope(lens, K0, k)) for k in (1, 2, 3)) == 2 * (6 + 8 + 8)
+    monkeypatch.undo()
+    assert ranges == _assert_same(lens, K0, 800)[0]
+
+
 def _sizes(lens, k):
     # the signed block sizes of level k of L(p, q), K0
     return unknots._level(unknots.slope_k(lens, K0, k)).sizes
@@ -158,11 +192,11 @@ def test_a_class_on_two_arms_is_reported_alike(monkeypatch):
     assert _assert_same(lens, K0, 3)[1] == info.value.problems
 
 
-def _foreign_hook(seed, rate):
+def _foreign_hook(seed, rate, true_rule=None):
     # the true rule, except that with probability rate a tight (class, sign)
     # lands on minus counts no class of any level has: a negative first
-    # count, or one block more than the level below has
-    true_rule = unknots._stabilized_counts
+    # count, or one block more than the level below has (true_rule as in _hook)
+    true_rule = true_rule or unknots._stabilized_counts
 
     def stabilized(counts, sign, sizes, below):
         got = true_rule(counts, sign, sizes, below)
@@ -192,6 +226,26 @@ def test_foreign_counts_keep_their_own_tuple_in_the_graph(monkeypatch):
         for lens in _lenses(7):
             for knot in KNOTS:
                 certified += _assert_same(lens, knot, 3 + seed % 2)[0] is not None
+    assert certified > 20 and foreign > 1_000, (certified, foreign)
+
+
+def test_foreign_counts_keep_their_own_tuple_in_unnested_hooks(monkeypatch):
+    # as above, but every hook wraps the true rule, read once, with k_max up
+    # to 6 so that levels share a map
+    true_rule, certified, foreign = unknots._stabilized_counts, 0, 0
+    for seed in range(6):
+        hook = _foreign_hook(seed, (0.05, 0.3, 1.0)[seed % 3], true_rule)
+
+        def counted(counts, sign, sizes, below, hook=hook):
+            nonlocal foreign
+            got = hook(counts, sign, sizes, below)
+            foreign += got is not None and min(got) < 0
+            return got
+
+        monkeypatch.setattr(unknots, "_stabilized_counts", counted)
+        for lens in _lenses(7):
+            for knot in KNOTS:
+                certified += _assert_same(lens, knot, 3 + seed % 4)[0] is not None
     assert certified > 20 and foreign > 1_000, (certified, foreign)
 
 

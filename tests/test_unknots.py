@@ -1,9 +1,10 @@
 from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonloose.decorated import Sign
@@ -965,3 +966,67 @@ def test_engine_paths_never_rescan_vertices(monkeypatch):
     monkeypatch.setattr(decorated, "_block_lengths", no_rescan)
     assert _engine_results(lenses, knots) == want
     assert len(want) > 5000
+
+
+def _assert_levels_repeat(levels, p, where):
+    # _level_below's docstring on levels listed from the top down, all at
+    # level 2 or above: equal sizes, a first block of one edge, equal later
+    # pairing weights, and a first weight p more than the level below's
+    top = levels[0]
+    assert top.lengths[0] == 1, where
+    for above, level in zip(levels, levels[1:]):
+        assert level.sizes == top.sizes and level.lengths[0] == 1, where
+        assert level.pairings[1:] == top.pairings[1:], where
+        assert above.pairings[0][0] - level.pairings[0][0] == p, where
+
+
+def test_levels_repeat_from_level_two():
+    cases = 0
+    for p in range(1, 201):
+        for q in range(1, max(p, 2)):
+            if gcd(p, q) == 1:
+                for knot in (K0, K1):
+                    levels = list(_levels_from_the_top(LensSpace(p, q), knot, 40))[:-2]  # levels 40 down to 2
+                    _assert_levels_repeat(levels, p, (p, q, str(knot)))
+                    cases += 1
+    assert cases == 2 * 12232
+
+
+@st.composite
+def large_lens_level(draw):
+    # p up to 10**6 and a level near 10**3 whose complement path has at most
+    # 10**4 edges (L(p, 1)'s has about p), so no case builds a path of a
+    # million vertices
+    from nonloose.decorated import UpperSolidTorus, _context_sizes
+    from nonloose.farey import ZERO
+
+    p = draw(st.integers(2, 10**6))
+    q = draw(st.integers(1, p - 1).filter(lambda q: gcd(p, q) == 1))
+    lens, knot, k = LensSpace(p, q), draw(st.sampled_from((K0, K1))), draw(st.integers(990, 1010))
+    assume(sum(_context_sizes(UpperSolidTorus(ZERO, slope_k(lens, knot, k)))[0]) <= 10**4)
+    return lens, knot, k
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(large_lens_level())
+def test_levels_repeat_near_level_a_thousand_on_large_lenses(case):
+    # four levels from k down, derived with _level_below from level k
+    lens, knot, k = case
+    _assert_levels_repeat(list(islice(_levels_from_the_top(lens, knot, k), 4)), lens.p, (str(lens), str(knot), k))
+
+
+def test_classify_is_certified_for_every_k_max():
+    # classify's docstring: from level 3 up each arm repeats one class, so a
+    # larger k_max only lengthens the arms
+    calls = 0
+    for p in range(1, 31):
+        for q in range(1, max(p, 2)):
+            if gcd(p, q) == 1:
+                lens = LensSpace(p, q)
+                for knot in (K0, KnotId("K0", False), K1, KnotId("K1", False)):
+                    want = [(mr.kind, mr.base, mr.euler) for mr in classify(lens, knot, 3)]
+                    for k_max in range(4, 13):
+                        got = [(mr.kind, mr.base, mr.euler) for mr in classify(lens, knot, k_max)]
+                        assert got == want, (str(lens), str(knot), k_max)
+                        calls += 1
+    assert calls == 9 * 4 * 278

@@ -223,15 +223,15 @@ def _parse_decorated(text: str) -> DecoratedPath:
 
 
 def _read_cached(path: Path, request: dict, renderer) -> Optional[str]:
-    """The cached atlas answering request, rendered, or None for a missing,
-    unreadable, truncated or foreign file, or one renderer cannot read.  A
-    header field must have the request's repr: 3.0 or true is not 3 or 1."""
+    """The request's cached atlas, rendered, or None for a missing, unreadable,
+    too large to read, truncated or foreign file, or one renderer cannot read.
+    A header field must have the request's repr: 3.0 or true is not 3 or 1."""
     try:
         payload = json.loads(path.read_text())
         ok = isinstance(payload, dict) and isinstance(payload.get("ranges"), list)
         if ok and all(repr(payload.get(k)) == repr(v) for k, v in request.items()):
             return renderer(payload)
-    except (OSError, RecursionError, LookupError, TypeError, ValueError, ArithmeticError):
+    except (OSError, MemoryError, RecursionError, LookupError, TypeError, ValueError, ArithmeticError):
         pass
     return None
 

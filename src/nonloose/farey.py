@@ -149,8 +149,8 @@ def farey_sum(x: Slope, y: Slope) -> Slope:
         raise FareyError("mediant of equal slopes is undefined")
     if d not in (1, -1):
         raise FareyError(f"{x} and {y} are not adjacent in the Farey graph")
-    if x.is_infinite or y.is_infinite:
-        f = y if x.is_infinite else x
+    if not (x.den and y.den):
+        f = x if x.den else y
         inf_num = 1 if f.num >= 0 else -1
         # a mediant of Farey neighbours pairs to +-1 with each of them
         return _primitive(f.num + inf_num, f.den)

@@ -32,18 +32,16 @@ merged edge then starts the new first block: alone (minus count e*t_0)
 when both paths have as many blocks, else joined to the old second block
 (e*(t_0 - n_1) + a_1).  Later blocks keep their counts.  This is the
 block and shuffle structure of Honda's classification of tight solid
-tori (Geom. Topol. 4 (2000) 309-368).  classify builds s_{k_max} -> 0
-once and derives each lower level from the one above, as stabilize does.
+tori (Geom. Topol. 4 (2000) 309-368).  classify runs three phases on
+their arguments alone: _levels builds s_{k_max} -> 0 once and each lower
+level from the one above, as stabilize does; _stabilization_graph links
+classes by index, one map per run of equal sizes here and below;
+_arm_ranges walks each base's arms into ranges, which a tail certifies.
 
 The class records (ShuffleClass, NonLooseClass, RangeMember) are built by
 private builders that set each field in order with object.__setattr__ and
 skip the generated __init__ (none has a __post_init__); tb_q and rot_q
-(denominator p >= 1) by _fraction with one gcd.  In a classify call, levels
-with equal block sizes share one tuple per minus counts, and the graph is
-plain indices: per level and sign, a dict from a target's index to the
-index of the one class above stabilizing there (a list once a second
-arrives: a branching arm), and one claim mark per class.  Consecutive
-levels with the same sizes here and below share one stabilization map.
+(denominator p >= 1) by _fraction with one gcd.
 """
 
 from __future__ import annotations
@@ -433,24 +431,7 @@ def _assemble_range(
     return MountainRange(kind, base.rot_q, base.tb_q, base.euler, tuple(members))
 
 
-def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[MountainRange]:
-    """All mountain ranges of non-loose representatives of one rational unknot.
-
-    Builds the stabilization graph over the classes with dividing slope
-    s_k for k <= k_max and pattern-matches it into Vs and slashes.  Arms
-    are verified member by member up to k_max; a pattern that cannot be
-    certified raises instead of guessing, with every problem found.
-
-    Certified for every k: from level 2 up the levels share their sizes
-    (_level_below), so from level 3 up a tight stabilization keeps the minus
-    counts (the first is e*n_0 on both levels) and moves rot by one multiple
-    of p a level; each arm reaching level 3 repeats one class upward, so the
-    kinds, bases and Euler classes do not depend on k_max.
-    """
-    if k_max < 3:
-        raise ClassificationError("k_max must be at least 3 to certify arm patterns")
-    if k_max >= sys.maxsize:  # built holds k_max + 1 entries
-        raise ClassificationError(f"k_max {k_max} has too many levels for a list")
+def _levels(lens: LensSpace, knot: KnotId, k_max: int) -> tuple:
     own = {}  # per signed block sizes, its classes' minus-count tuples, each to its index: equal levels share them
     choose = lambda s: own.get(s) or own.setdefault(s, {c: n for n, c in enumerate(_shuffle_counts(s))})
     meridian, built = _work_meridian(lens, knot), []
@@ -458,11 +439,13 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
         level = _level(slope_k(lens, knot, k)) if k == k_max else _level_below(*level[:3], meridian)
         built.append(_level_classes(lens, knot, k, level, choose))
     classes, rots, sizes = zip(*reversed(built))  # per level k: its classes, rots times p, signed block sizes
-    signs = _COMPLEMENT_SIGN[knot.positive].items()
+    return own, classes, rots, sizes
+
+
+def _stabilization_graph(own: dict, classes: tuple, sizes: tuple, signs, problems: list[str]) -> tuple:
     # preds[k][sign][index of a level k class]: index of the level k + 1 class stabilizing there, a list if several
     preds: list[dict[Sign, dict]] = []
     bases = [(0, i) for i in range(len(classes[0]))]
-    problems: list[str] = []
     tuples = rank = None  # own[here] and own[below] of the last level whose map was evaluated
     for k, (below, here) in enumerate(zip(sizes, sizes[1:]), start=1):
         if own[here] is not tuples or own[below] is not rank:  # else reuse that map: it is a function of the sizes
@@ -487,6 +470,10 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
             problems.append(f"{classes[k][i].class_id}: two tight stabilizations")
         for i in loose:
             bases.append((k, i))
+    return preds, bases
+
+
+def _arm_ranges(classes: tuple, rots: tuple, preds: list, bases: list, signs, k_max: int, problems: list[str]) -> tuple:
     ranges: list[tuple] = []  # (base tb times p, base rot times p, kind, position, range)
     claimed = [bytearray(len(level)) for level in classes]  # 1 for a class in a certified range
     for k, i in bases:
@@ -512,6 +499,31 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
             for arm in arms.values():
                 for n, j in enumerate(arm, start=k + 1):
                     claimed[n][j] = 1
+    return ranges, claimed
+
+
+def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[MountainRange]:
+    """All mountain ranges of non-loose representatives of one rational unknot.
+
+    Builds the stabilization graph over the classes with dividing slope
+    s_k for k <= k_max and pattern-matches it into Vs and slashes.  Arms
+    are verified member by member up to k_max; a pattern that cannot be
+    certified raises instead of guessing, with every problem found.
+
+    Certified for every k: from level 2 up the levels share their sizes
+    (_level_below), so from level 3 up a tight stabilization keeps the minus
+    counts (the first is e*n_0 on both levels) and moves rot by one multiple
+    of p a level; each arm reaching level 3 repeats one class upward, so the
+    kinds, bases and Euler classes do not depend on k_max.
+    """
+    if k_max < 3:
+        raise ClassificationError("k_max must be at least 3 to certify arm patterns")
+    if k_max >= sys.maxsize:  # _levels holds k_max + 1 entries
+        raise ClassificationError(f"k_max {k_max} has too many levels for a list")
+    own, classes, rots, sizes = _levels(lens, knot, k_max)
+    signs, problems = _COMPLEMENT_SIGN[knot.positive].items(), []
+    preds, bases = _stabilization_graph(own, classes, sizes, signs, problems)
+    ranges, claimed = _arm_ranges(classes, rots, preds, bases, signs, k_max, problems)
     if unclaimed := sum(marks.count(0) for marks in claimed):
         problems.append(f"{unclaimed} classes outside every certified range")
     if problems:

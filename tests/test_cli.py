@@ -494,6 +494,22 @@ def test_a_kmax_too_large_for_a_list_is_a_domain_error():
     assert elapsed < 2, elapsed
 
 
+def test_a_cache_file_too_large_to_read_is_a_miss(tmp_path):
+    # a 2 GiB sparse file under the request's key cannot be read in the
+    # child's 1 GiB address space: a miss, printed fresh and rewritten
+    # compactly.  Only the child reads it, and only after the size check
+    fresh = invoke(["classify", "5", "2", "--cache-dir", str(tmp_path / "fresh")])
+    big = tmp_path / "big" / f"classify-v{cli.CACHE_SCHEMA}-5-2-K0-5.json"
+    big.parent.mkdir()
+    big.touch()
+    os.truncate(big, 2 << 30)
+    done, elapsed = _run_in_a_gigabyte("classify", "5", "2", "--cache-dir", str(big.parent))
+    assert (done.returncode, done.stdout, done.stderr) == fresh
+    assert elapsed < 2, elapsed
+    assert big.stat().st_size < 100_000
+    assert big.read_text() == _cache_file(tmp_path / "fresh", 5, 2).read_text()
+
+
 def test_an_expansion_too_long_for_a_tuple_is_a_domain_error():
     # -(d + 1)/d expands to d coefficients -2, here about 10^20, past
     # sys.maxsize; the run must be refused before any list is asked for

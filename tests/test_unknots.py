@@ -1,3 +1,4 @@
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import islice
@@ -1030,3 +1031,73 @@ def test_classify_is_certified_for_every_k_max():
                         assert got == want, (str(lens), str(knot), k_max)
                         calls += 1
     assert calls == 9 * 4 * 278
+
+
+def _record_fields(record):
+    return tuple(getattr(record, f.name) for f in fields(record))
+
+
+def _graph_twice(lens, knot, k_max):
+    # classify's first phase, then its second twice on that one result: both
+    # runs must agree and leave the levels as they found them
+    from nonloose import unknots
+
+    own, classes, rots, sizes = unknots._levels(lens, knot, k_max)
+    signs = unknots._COMPLEMENT_SIGN[knot.positive].items()
+    before = ({s: dict(ranks) for s, ranks in own.items()}, [list(level) for level in classes], sizes)
+    runs = []
+    for _ in range(2):
+        problems = []
+        runs.append((*unknots._stabilization_graph(own, classes, sizes, signs, problems), problems))
+    assert runs[0] == runs[1], (str(lens), str(knot), k_max)
+    assert (own, [list(level) for level in classes], sizes) == before, (str(lens), str(knot), k_max)
+    return classes, rots, signs, runs[0]
+
+
+def test_classify_phases_compose_to_classify():
+    # the three phases called one by one, then the certification tail as
+    # classify runs it, give classify's list
+    from nonloose import unknots
+
+    checked = 0
+    for lens in (LensSpace(5, 2), LensSpace(13, 5), LensSpace(1, 1)):
+        for knot in (K0, KnotId("K0", False), K1, KnotId("K1", False)):
+            for k_max in (3, 6):
+                where = (str(lens), str(knot), k_max)
+                classes, rots, signs, (preds, bases, problems) = _graph_twice(lens, knot, k_max)
+                assert len(classes) == len(rots) == k_max + 1, where
+                for k, level in enumerate(classes):
+                    want = classes_at_slope(lens, knot, k)
+                    assert [_record_fields(c) for c in level] == [_record_fields(c) for c in want], (*where, k)
+                    assert list(rots[k]) == [c.rot_q * lens.p for c in level], (*where, k)
+                ranges, claimed = unknots._arm_ranges(classes, rots, preds, bases, signs, k_max, problems)
+                assert (problems, sum(marks.count(0) for marks in claimed)) == ([], 0), where
+                assert [r[-1] for r in sorted(ranges)] == classify(lens, knot, k_max), where
+                checked += 1
+    assert checked == 3 * 4 * 2
+
+
+def test_stabilization_graph_reports_the_same_problems_twice(monkeypatch):
+    # with every stabilization tight, each class above level 0 is a problem;
+    # the phase reads the rule when called and two calls agree
+    from nonloose import unknots
+
+    monkeypatch.setattr(unknots, "_stabilized_counts", lambda counts, sign, sizes, below: (0,) * len(below))
+    classes, _, _, (_, _, problems) = _graph_twice(LensSpace(5, 2), K0, 6)
+    assert problems == [f"{c.class_id}: two tight stabilizations" for level in classes[1:] for c in level]
+
+
+def test_kmax_guards_run_before_any_phase(monkeypatch):
+    from nonloose import unknots
+
+    def no_phase(*args):
+        raise AssertionError("a phase ran")
+
+    monkeypatch.setattr(unknots, "_levels", no_phase)
+    with pytest.raises(AssertionError, match="^a phase ran$"):
+        classify(LensSpace(5, 2), K0, 3)
+    too_many = f"k_max {sys.maxsize} has too many levels for a list"
+    for k_max, message in ((2, "k_max must be at least 3 to certify arm patterns"), (sys.maxsize, too_many)):
+        with pytest.raises(ClassificationError) as info:
+            classify(LensSpace(5, 2), K0, k_max)
+        assert info.value.problems == (message,)

@@ -275,10 +275,7 @@ def classes_at_slope(lens: LensSpace, knot: KnotId, k: int) -> list[NonLooseClas
 
 # by knot orientation, the sign each knot stabilization puts on the positive
 # representative's complement, listed in that representative's arm order
-_COMPLEMENT_SIGN = {
-    True: {Sign.PLUS: Sign.PLUS, Sign.MINUS: Sign.MINUS},
-    False: {Sign.MINUS: Sign.PLUS, Sign.PLUS: Sign.MINUS},
-}
+_COMPLEMENT_SIGN = {True: {Sign.PLUS: Sign.PLUS, Sign.MINUS: Sign.MINUS}, False: {Sign.MINUS: Sign.PLUS, Sign.PLUS: Sign.MINUS}}
 
 
 def _stabilized_counts(
@@ -287,7 +284,7 @@ def _stabilized_counts(
     # minus counts of the stabilized class one level down, None if loose;
     # sizes and below are the signed block sizes of the complement paths at
     # the class's level and one level down
-    eps = 1 if sign is Sign.MINUS else 0
+    eps = 1 if sign < 0 else 0  # Sign.MINUS is -1; on 3.11 a Sign.X read runs EnumType.__getattr__, unseen by cProfile
     if counts[0] != eps * sizes[0]:
         return None
     if len(below) == len(sizes):
@@ -362,6 +359,9 @@ class StabEdge(NamedTuple):
 
 # an arm's stabilization sign, then the other sign, by arm label
 _ARM_SIGNS = {"+": (Sign.PLUS, Sign.MINUS), "-": (Sign.MINUS, Sign.PLUS)}
+# read per range, with kind._value_ (.value is a property): on 3.11 Sign.X and RangeKind.X run EnumType.__getattr__
+_V, _BACK_SLASH, _FORWARD_SLASH = RangeKind  # in member order; cProfile shows neither cost
+_PLUS, _ARM_LABEL = Sign.PLUS, ("", "+", "-")  # a Sign indexes as an int: _ARM_LABEL[sign] is str(sign)
 
 
 @dataclass(frozen=True)
@@ -413,11 +413,11 @@ def _assemble_range(
     if not any(arms.values()):
         problems.append(f"{base.class_id}: base with no arms at k_max={k_max}")
         return None
-    kind = RangeKind.V if all(arms.values()) else RangeKind.FORWARD_SLASH if arms[Sign.PLUS] else RangeKind.BACK_SLASH
+    kind = _V if all(arms.values()) else _FORWARD_SLASH if arms[_PLUS] else _BACK_SLASH  # globals: note at _ARM_SIGNS
     euler = base.euler % p
     members = [_range_member(base, "base", 0)]
     for sign, arm in arms.items():
-        step, label = sign * p, str(sign)
+        step, label = sign * p, _ARM_LABEL[sign]
         for n, j in enumerate(arm, start=1):
             member = classes[k + n][j]
             if abs(member.dividing_slope.num) != tb + n * p or rots[k + n][j] != rot + n * step:
@@ -494,7 +494,7 @@ def _arm_ranges(classes: tuple, rots: tuple, preds: list, bases: list, signs, k_
                 arm.append(source)
         mr = _assemble_range(classes, rots, k, i, arms, k_max, problems)
         if mr is not None:
-            ranges.append((abs(base.dividing_slope.num), rots[k][i], mr.kind.value, len(ranges), mr))
+            ranges.append((abs(base.dividing_slope.num), rots[k][i], mr.kind._value_, len(ranges), mr))
             claimed[k][i] = 1
             for arm in arms.values():
                 for n, j in enumerate(arm, start=k + 1):

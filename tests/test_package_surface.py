@@ -295,3 +295,62 @@ def test_the_fraction_builder_scan_finds_every_kind_of_use():
     }
     assert _primitive_users(modules, "_fraction") == {("a", "parse"), ("a", "<module>"), ("a", "inner")}
     assert _primitive_users(modules) == set()
+
+
+# the unknots functions that run once per class or per range: on Python 3.11
+# every read of an enum class's member (Sign.PLUS, RangeKind.V) runs the slot
+# hook of EnumType.__getattr__ and .value is a Python property, and cProfile
+# shows neither, so these functions read no attribute of Sign or RangeKind
+# and no attribute named value
+ENUM_FREE_FUNCTIONS = {"_stabilized_counts", "_stabilization_graph", "_arm_ranges", "_assemble_range"}
+
+
+def _enum_reads(modules: dict, functions: set = ENUM_FREE_FUNCTIONS) -> set:
+    # (module, top-level function, attribute text) for each read, anywhere in
+    # one of the functions, of an attribute of Sign or RangeKind (bare or
+    # dotted) or of any attribute named value
+    reads = set()
+    for mod, tree in modules.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name in functions:
+                for node in ast.walk(stmt):
+                    if not isinstance(node, ast.Attribute):
+                        continue
+                    owner = node.value
+                    named = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+                    if node.attr == "value" or named in ("Sign", "RangeKind"):
+                        reads.add((mod, stmt.name, ast.unparse(node)))
+    return reads
+
+
+def test_per_class_and_per_range_code_reads_no_enum_class_attribute():
+    modules = {"unknots": ast.parse(Path(unknots.__file__).read_text())}
+    defined = {stmt.name for stmt in modules["unknots"].body if isinstance(stmt, ast.FunctionDef)}
+    assert ENUM_FREE_FUNCTIONS <= defined
+    assert _enum_reads(modules) == set()
+
+
+def test_the_enum_read_scan_finds_every_kind_of_read():
+    modules = {
+        "a": ast.parse(
+            "def _stabilized_counts(counts, sign):\n"
+            "    return 1 if sign is Sign.MINUS else 0\n"
+            "def _assemble_range(arms):\n"
+            "    def inner(): return decorated.Sign.PLUS\n"
+            "    return RangeKind.V if all(arms.values()) else inner()\n"
+            "def _arm_ranges(mr):\n"
+            "    return mr.kind.value, mr.kind._value_, str(mr.kind)\n"
+            "def _stabilization_graph(signs):\n"
+            "    return {sign: {} for sign, _ in signs}, signs.value\n"
+            "def render(mr): return mr.kind.value, Sign.PLUS, RangeKind.V\n"
+            "X = Sign.MINUS\n"
+        ),
+    }
+    assert _enum_reads(modules) == {
+        ("a", "_stabilized_counts", "Sign.MINUS"),
+        ("a", "_assemble_range", "decorated.Sign.PLUS"),
+        ("a", "_assemble_range", "RangeKind.V"),
+        ("a", "_arm_ranges", "mr.kind.value"),
+        ("a", "_stabilization_graph", "signs.value"),
+    }
+    assert _enum_reads(modules, {"render"}) == {("a", "render", t) for t in ("mr.kind.value", "Sign.PLUS", "RangeKind.V")}

@@ -1101,3 +1101,42 @@ def test_kmax_guards_run_before_any_phase(monkeypatch):
         with pytest.raises(ClassificationError) as info:
             classify(LensSpace(5, 2), K0, k_max)
         assert info.value.problems == (message,)
+
+
+def test_enum_free_reads_agree_with_the_enum_api():
+    # the stabilization rule's e, each range's sort text, the arm labels and
+    # the range kind are read without enum class attributes; each agrees with
+    # the enum API, and the kind with the oracle's three-way conditional for
+    # every arm-presence pattern, arms listed PLUS first (positive knots) and
+    # MINUS first (negative knots)
+    from oracles import _assemble_range_by_init
+
+    from nonloose import unknots
+
+    for sign in Sign:
+        assert unknots._stabilized_counts((0,), sign, (0,), (1,)) == (1 if sign is Sign.MINUS else 0,), sign
+    for sign in (Sign.PLUS, Sign.MINUS):
+        assert unknots._ARM_LABEL[sign] == str(sign), sign
+    assert [unknots._V, unknots._BACK_SLASH, unknots._FORWARD_SLASH] == list(RangeKind)
+    texts, labels, patterns, k_max = set(), set(), set(), 3
+    for lens in (LensSpace(5, 2), LensSpace(13, 5)):
+        for knot in (K0, KnotId("K0", False), K1, KnotId("K1", False)):
+            classes, rots, signs, (preds, bases, problems) = _graph_twice(lens, knot, k_max)
+            ranges, _ = unknots._arm_ranges(classes, rots, preds, bases, signs, k_max, problems)
+            for _, _, text, _, mr in ranges:
+                assert text == mr.kind.value
+                texts.add(text)
+                base = mr.members[0].cls
+                k, i = base.k, classes[base.k].index(base)
+                full = {sign: [classes[m.cls.k].index(m.cls) for m in mr.members if m.arm == str(sign)] for sign, _ in signs}
+                assert sum(map(len, full.values())) == len(mr.members) - 1
+                for kept in ([s for s in full if full[s]], *([s] for s in full if full[s])):
+                    arms = {s: full[s] if s in kept else [] for s in full}
+                    got = unknots._assemble_range(classes, rots, k, i, arms, k_max, [])
+                    want = _assemble_range_by_init(classes, rots, k, i, arms, k_max, [])
+                    assert got.kind is want.kind and got == want, (str(lens), str(knot), arms)
+                    labels.update(m.arm for m in got.members[1:])
+                    patterns.add((next(iter(arms)), got.kind))
+    assert texts == {kind.value for kind in RangeKind}
+    assert labels == {"+", "-"}
+    assert patterns == {(first, kind) for first in (Sign.PLUS, Sign.MINUS) for kind in RangeKind}

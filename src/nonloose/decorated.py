@@ -357,11 +357,8 @@ def relative_euler(d: DecoratedPath) -> SignedVector:
     Sum over the edges of sign times the unreduced difference of the
     edge's endpoints; unsigned edges, of sign 0, contribute nothing.
     """
-    total = SignedVector(0, 0)
-    vertices = d.vertices
-    for e, sg in enumerate(d.signs):
-        total = total + farey_diff(vertices[e + 1], vertices[e]).scaled(int(sg))
-    return total
+    v = d.vertices
+    return sum((farey_diff(b, a).scaled(int(sg)) for a, b, sg in zip(v, v[1:], d.signs)), SignedVector(0, 0))
 
 
 def euler_on_disk(d: DecoratedPath, meridian: Slope) -> int:

@@ -135,10 +135,8 @@ def classification_json(payload: dict) -> str:
 
 
 def classification_csv(payload: dict) -> str:
-    lines = ["kind,rot_base,tb_base,euler"]
-    for r in payload["ranges"]:
-        lines.append(f"{r['kind']},{r['base'][0]},{r['base'][1]},{r['euler']}")
-    return "\n".join(lines) + "\n"
+    rows = [f"{r['kind']},{r['base'][0]},{r['base'][1]},{r['euler']}\n" for r in payload["ranges"]]
+    return "kind,rot_base,tb_base,euler\n" + "".join(rows)
 
 
 def classification_table(payload: dict) -> str:

@@ -34,8 +34,9 @@ when both paths have as many blocks, else joined to the old second block
 block and shuffle structure of Honda's classification of tight solid
 tori (Geom. Topol. 4 (2000) 309-368).  classify runs three phases on
 their arguments alone: _levels builds s_{k_max} -> 0 once and each lower
-level from the one above, as stabilize does; _stabilization_graph links
-classes by index, one map per run of equal sizes here and below;
+level from the one above, as stabilize does, and moves a repeated level's
+rots from the level above by the rot delta (classify); _stabilization_graph
+links classes by index, one map per run of equal sizes here and below;
 _arm_ranges walks each base's arms into ranges, which a tail certifies.
 
 The class records (ShuffleClass, NonLooseClass, RangeMember) are built by
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import getitem
 from typing import NamedTuple, Optional
 
@@ -85,8 +86,7 @@ class KnotId:
     @classmethod
     def parse(cls, text: str) -> "KnotId":
         text = text.strip()
-        positive = not text.startswith("-")
-        return cls(text if positive else text[1:], positive)
+        return cls(text.removeprefix("-"), not text.startswith("-"))
 
     def __str__(self) -> str:
         return ("" if self.positive else "-") + self.core
@@ -102,10 +102,9 @@ def smooth_knot_classes(lens: LensSpace) -> list[KnotId]:
     One class for p <= 2, the two orientations of K0 when q = +-1 mod p,
     and all four oriented cores otherwise.
     """
-    p, q = lens.p, lens.q
-    if p <= 2:
+    if lens.p <= 2:
         return [K0]
-    if q % p in (1 % p, (p - 1) % p):
+    if lens.q in (1, lens.p - 1):  # 0 < q < p from here on
         return [K0, KnotId("K0", False)]
     return [K0, KnotId("K0", False), K1, KnotId("K1", False)]
 
@@ -243,21 +242,24 @@ def _level_below(path: tuple[Slope, ...], lengths: tuple[int, ...], sizes: tuple
     return _Level(path, lengths, sizes, _level_pairings(path, lengths, sizes))
 
 
-def _level_classes(lens: LensSpace, knot: KnotId, k: int, level=None, choose=_shuffle_counts) -> tuple:
-    # level k's classes (from scratch unless given) for the minus counts that
-    # choose(sizes) yields, their rots times p, and the sizes; tb times p is
-    # |num s_k|, and e_disk adds one table entry per block
+def _level_classes(lens: LensSpace, knot: KnotId, k: int, level=None, choose=_shuffle_counts, above=None) -> tuple:
+    # level k's classes (from scratch unless given) for the minus counts that choose(sizes)
+    # yields, their rots times p, and the sizes; tb times p is |num s_k|, and e_disk = orient *
+    # rot adds one table entry w*(n - 2a) per block.  above is level k + 1's _Level and rots, its
+    # classes chosen in this order: with equal sizes and later weights (from level 2 up, _level_below)
+    # only w_0 moves, by +-p, so rot moves by the rot delta orient*(w_0 - w_0 above)*(n_0 - 2a_0)
     path, _, sizes, pairings = level or _level(slope_k(lens, knot, k))
     p, orient, s = lens.p, 1 if knot.positive else -1, path[0]
     tb_q = _fraction(abs(s.num), p)  # den lens.p >= 1
     unsigned = (len(path) - 2,)
-    tables = [[w * (size - 2 * m) for m in range(size + 1)] for w, size in pairings]
+    if same := above is not None and above[0].sizes == sizes and above[0].pairings[1:] == pairings[1:]:
+        step, n = orient * (pairings[0][0] - above[0].pairings[0][0]), sizes[0]
+    tables = () if same else [[w * (size - 2 * m) for m in range(size + 1)] for w, size in pairings]
     classes, rots = [], []
-    for counts in choose(sizes):
-        e_disk = sum(map(getitem, tables, counts))
-        rot = orient * e_disk
+    for counts, r in zip(choose(sizes), above[1] if same else repeat(0)):
+        rot = r + step * (n - 2 * counts[0]) if same else orient * sum(map(getitem, tables, counts))
         sc = _shuffle_class(path, counts, unsigned)
-        classes.append(_nonloose_class(lens, knot, s, sc, tb_q, _fraction(rot, p), _euler_rep(-e_disk, p), k))  # den lens.p >= 1
+        classes.append(_nonloose_class(lens, knot, s, sc, tb_q, _fraction(rot, p), _euler_rep(-orient * rot, p), k))  # den lens.p >= 1
         rots.append(rot)
     return classes, rots, sizes
 
@@ -321,7 +323,7 @@ class RangeKind(Enum):
     FORWARD_SLASH = "forward-slash"
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_  # the same text as .value, a Python property on 3.11
 
 
 @dataclass(frozen=True)
@@ -434,10 +436,11 @@ def _assemble_range(
 def _levels(lens: LensSpace, knot: KnotId, k_max: int) -> tuple:
     own = {}  # per signed block sizes, its classes' minus-count tuples, each to its index: equal levels share them
     choose = lambda s: own.get(s) or own.setdefault(s, {c: n for n, c in enumerate(_shuffle_counts(s))})
-    meridian, built = _work_meridian(lens, knot), []
+    meridian, built, above = _work_meridian(lens, knot), [], None
     for k in range(k_max, -1, -1):  # level k_max from scratch, each one below from the one above, then dropped
         level = _level(slope_k(lens, knot, k)) if k == k_max else _level_below(*level[:3], meridian)
-        built.append(_level_classes(lens, knot, k, level, choose))
+        built.append(_level_classes(lens, knot, k, level, choose, above))
+        above = level, built[-1][1]  # with its rots, which the level below may move by its first weight
     classes, rots, sizes = zip(*reversed(built))  # per level k: its classes, rots times p, signed block sizes
     return own, classes, rots, sizes
 
@@ -510,11 +513,13 @@ def classify(lens: LensSpace, knot: KnotId = K0, k_max: int = 5) -> list[Mountai
     are verified member by member up to k_max; a pattern that cannot be
     certified raises instead of guessing, with every problem found.
 
-    Certified for every k: from level 2 up the levels share their sizes
-    (_level_below), so from level 3 up a tight stabilization keeps the minus
-    counts (the first is e*n_0 on both levels) and moves rot by one multiple
-    of p a level; each arm reaching level 3 repeats one class upward, so the
-    kinds, bases and Euler classes do not depend on k_max.
+    Certified for every k: from level 2 up a level has the sizes and later
+    weights of the one above and a first weight p apart (_level_below), so
+    each class's rot is the rot above of its minus counts moved by
+    +-p*(n_0 - 2a_0), the rot delta; a tight stabilization from level 3 up
+    keeps the minus counts (the first is e*n_0 on both levels), so each arm
+    reaching level 3 repeats one class upward and the kinds, bases and
+    Euler classes do not depend on k_max.
     """
     if k_max < 3:
         raise ClassificationError("k_max must be at least 3 to certify arm patterns")
@@ -585,7 +590,7 @@ class Existence(Enum):
     AT_LEAST_TWO = "at-least-two"
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_  # as RangeKind's
 
 
 @dataclass(frozen=True)

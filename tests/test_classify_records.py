@@ -162,6 +162,47 @@ def test_each_repeated_stabilization_map_is_evaluated_once(monkeypatch):
     assert ranges == _assert_same(lens, K0, 800)[0]
 
 
+def _table_reads_by_level(monkeypatch, lens, knot, k_max):
+    # {k: entries _level_classes read from its per-block tables on level k}
+    # in one classify call, counted through the module global getitem that
+    # its table sum reads; also returns the ranges
+    reads, by_level, true_build = 0, {}, unknots._level_classes
+
+    def counted(a, b):
+        nonlocal reads
+        reads += 1
+        return a[b]
+
+    def per_level(lens, knot, k, *args):
+        before = reads
+        built = true_build(lens, knot, k, *args)
+        by_level[k] = reads - before
+        return built
+
+    monkeypatch.setattr(unknots, "getitem", counted)
+    monkeypatch.setattr(unknots, "_level_classes", per_level)
+    ranges = classify(lens, knot, k_max)
+    monkeypatch.undo()
+    assert len(by_level) == k_max + 1 and sum(by_level.values()) == reads
+    return {k: n for k, n in by_level.items() if n}, ranges
+
+
+def test_repeated_levels_take_their_rots_from_the_level_above(monkeypatch):
+    # levels 2 to k_max - 1 have the sizes and later weights of the level
+    # above, so they read no table: L(5,2), K0 reads as many entries at
+    # k_max 800 as at k_max 3, and L(1000,377), K1 reads only on levels
+    # 8, 1 and 0, one entry per block of each class there
+    lens = LensSpace(5, 2)
+    deep, ranges = _table_reads_by_level(monkeypatch, lens, K0, 800)
+    assert deep == {800: 24, 1: 12, 0: 3} and _table_reads_by_level(monkeypatch, lens, K0, 3)[0] == {3: 24, 1: 12, 0: 3}
+    assert ranges == _assert_same(lens, K0, 800)[0]
+    lens = LensSpace(1000, 377)
+    reads, ranges = _table_reads_by_level(monkeypatch, lens, K1, 8)
+    blocks = {k: len(unknots._level(unknots.slope_k(lens, K1, k)).pairings) for k in (8, 1, 0)}
+    assert reads == {k: len(classes_at_slope(lens, K1, k)) * blocks[k] for k in (8, 1, 0)}
+    assert sum(reads.values()) == 2424 and ranges == _assert_same(lens, K1, 8)[0]
+
+
 def _sizes(lens, k):
     # the signed block sizes of level k of L(p, q), K0
     return unknots._level(unknots.slope_k(lens, K0, k)).sizes

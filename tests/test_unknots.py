@@ -1077,6 +1077,74 @@ def test_classify_phases_compose_to_classify():
     assert checked == 3 * 4 * 2
 
 
+def test_levels_take_the_rots_the_table_path_gives(monkeypatch):
+    # _levels moves each repeated level's rots from the level above by its
+    # first weight; every level it builds must equal the level _level_classes
+    # builds from scratch by summing a table per block, in rots and in every
+    # record field.  So must each level built from the level above with
+    # _shuffle_counts' one-shot product as choose, which the rot move must
+    # iterate once.  Only levels k_max, 1 and 0 read a table
+    from nonloose import unknots
+    from nonloose.decorated import _shuffle_counts
+
+    reads = 0
+
+    def counted(a, b):
+        nonlocal reads
+        reads += 1
+        return a[b]
+
+    monkeypatch.setattr(unknots, "getitem", counted)
+    corpus = [
+        (LensSpace(p, q), knot, k_max)
+        for p in range(1, 21)
+        for q in range(1, max(p, 2))
+        if gcd(p, q) == 1
+        for knot in (K0, KnotId("K0", False), K1, KnotId("K1", False))
+        for k_max in (3, 7)
+    ]
+    corpus += [(LensSpace(5, 2), knot, 200) for knot in (K0, KnotId("K1", False))]
+    corpus += [(LensSpace(1000, 377), knot, 12) for knot in (K0, K1)]
+    levels = 0
+    for lens, knot, k_max in corpus:
+        reads = 0
+        _, classes, rots, sizes = unknots._levels(lens, knot, k_max)
+        read_by_levels, read_from_scratch, above = reads, {}, None
+        for k, level in zip(range(k_max, -1, -1), _levels_from_the_top(lens, knot, k_max)):
+            reads, where = 0, (str(lens), str(knot), k_max, k)
+            want, want_rots, want_sizes = unknots._level_classes(lens, knot, k)
+            read_from_scratch[k] = reads
+            fields_wanted = [_record_fields(c) for c in want]
+            assert (list(rots[k]), sizes[k]) == (want_rots, want_sizes), where
+            assert [_record_fields(c) for c in classes[k]] == fields_wanted, where
+            one_shot, one_shot_rots, _ = unknots._level_classes(lens, knot, k, level, _shuffle_counts, above)
+            assert (one_shot_rots, [_record_fields(c) for c in one_shot]) == (want_rots, fields_wanted), where
+            above, levels = (level, one_shot_rots), levels + 1
+        assert read_by_levels == read_from_scratch[k_max] + read_from_scratch[1] + read_from_scratch[0], where
+    assert levels == 4 * 128 * (4 + 8) + 2 * 201 + 2 * 13
+
+
+def test_a_level_above_with_other_later_weights_gives_no_rots():
+    # a level above whose sizes match but whose later weights do not, with
+    # the rots its own tables give, would move wrong rots down: the level
+    # must take the table path's rots instead
+    from nonloose import unknots
+
+    lens, checked = LensSpace(5, 2), 0
+    for knot in (K0, KnotId("K0", False), K1, KnotId("K1", False)):
+        want, want_rots, _ = unknots._level_classes(lens, knot, 2)
+        level, up = (unknots._level(slope_k(lens, knot, k)) for k in (2, 3))
+        for b in range(1, len(up.pairings)):
+            (w, n), pairings = up.pairings[b], list(up.pairings)
+            pairings[b] = (w + 1, n)
+            other = up._replace(pairings=tuple(pairings))
+            _, other_rots, _ = unknots._level_classes(lens, knot, 3, other)
+            got, got_rots, _ = unknots._level_classes(lens, knot, 2, level, above=(other, other_rots))
+            assert (got_rots, [_record_fields(c) for c in got]) == (want_rots, [_record_fields(c) for c in want])
+            checked += 1
+    assert checked == 8
+
+
 def test_stabilization_graph_reports_the_same_problems_twice(monkeypatch):
     # with every stabilization tight, each class above level 0 is a problem;
     # the phase reads the rule when called and two calls agree

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import nonloose
 from nonloose import cli, render
-from nonloose.cli import FORMATS, run
+from nonloose.cli import FORMATS, KNOTS, run
 from nonloose.render import classification_dict, classification_svg
 from nonloose.unknots import K0, LensSpace, classify
 
@@ -369,6 +369,50 @@ def test_svg_output_pinned():
         code, out, err = invoke(argv + ["--format", "svg"])
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_deep_atlases_do_not_depend_on_k_max():
+    # levels from 3 up share one stabilization map and each arm repeats one
+    # class there, so the range list does not depend on the depth; this runs
+    # the shared map far deeper than the other tests do
+    for lens, knots, deep in ((["5", "2"], KNOTS, "2000"), (["1000", "377"], ("K0", "K1"), "60")):
+        for knot in knots:
+            query = ["classify", *lens, f"--knot={knot}", "--format", "csv"]
+            low = invoke(query + ["--kmax", "3"])
+            assert low[0] == 0 and invoke(query + ["--kmax", deep]) == low, (lens, knot)
+
+
+def test_deep_atlases_keep_their_json_bytes():
+    # SHA-256 of the JSON text, recorded before levels from 2 up took their
+    # rots from the level above: a negative knot deep, and L(1000,377)
+    # deeper than the benchmark runs it
+    for argv, digest in [
+        (
+            ["classify", "5", "2", "--knot=-K1", "--kmax", "800"],
+            "dc53b83e1b9d9c77ecbba66e05630709942c6ff8030879e08a3533cd507e107e",
+        ),
+        (
+            ["classify", "1000", "377", "--knot", "K1", "--kmax", "12"],
+            "7ef3cce7cd667208e7af9b68d2aadd2087776c5400fc7d5d9b1efc3d6b4e35c3",
+        ),
+    ]:
+        code, out, err = invoke(argv + ["--format", "json"])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_farey_domain_edges_are_one_error_line():
+    # equal operands or endpoints are refused by the pairing, 0 and 2 are
+    # not adjacent, and 1/0 is outside the expansion's domain
+    for args in (["sum", "1/0", "1/0"], ["sum", "0", "2"], ["path", "1/0", "1/0"], ["cf", "1/0"]):
+        _one_error_line(invoke(["farey", *args]), "error: ")
+
+
+def test_an_unknown_command_is_one_usage_error_and_command_help_exits_0():
+    code, out, err = invoke(["bogus"])
+    assert (code, out) == (2, "") and err.startswith("usage error: ") and err.count("\n") == 1, err
+    code, out, err = invoke(["classify", "-h"])
+    assert (code, err) == (0, "") and out.startswith("usage: ")
 
 
 def test_help_goes_to_the_stdout_argument(monkeypatch):

@@ -36,8 +36,9 @@ tori (Geom. Topol. 4 (2000) 309-368).  classify runs three phases on
 their arguments alone: _levels builds s_{k_max} -> 0 once and each lower
 level from the one above, as stabilize does, and moves a repeated level's
 rots from the level above by the rot delta (classify); _stabilization_graph
-links classes by index, one map per run of equal sizes here and below;
-_arm_ranges walks each base's arms into ranges, which a tail certifies.
+links classes by index, asking the rule on levels 1-3 (each map above is
+level 3's); _arm_ranges walks each base's arms into ranges, which a tail
+certifies.
 
 The class records (ShuffleClass, NonLooseClass, RangeMember) are built by
 private builders that set each field in order with object.__setattr__ and
@@ -446,33 +447,31 @@ def _levels(lens: LensSpace, knot: KnotId, k_max: int) -> tuple:
 
 
 def _stabilization_graph(own: dict, classes: tuple, sizes: tuple, signs, problems: list[str]) -> tuple:
-    # preds[k][sign][index of a level k class]: index of the level k + 1 class stabilizing there, a list if several
+    # preds[k][sign][index of a level k class]: index of the level k + 1 class stabilizing there, a list if several;
+    # levels 1 to 3 only, as sizes repeat from level 2 (_level_below): every (here, below) pair from level 3 up is level 3's
     preds: list[dict[Sign, dict]] = []
     bases = [(0, i) for i in range(len(classes[0]))]
-    tuples = rank = None  # own[here] and own[below] of the last level whose map was evaluated
-    for k, (below, here) in enumerate(zip(sizes, sizes[1:]), start=1):
-        if own[here] is not tuples or own[below] is not rank:  # else reuse that map: it is a function of the sizes
-            tuples, rank, twice, loose, by_sign = own[here], own[below], [], [], {sign: {} for sign, _ in signs}
-            per_sign = [(on_complement, by_sign[sign]) for sign, on_complement in signs]
-            for i, minus_counts in enumerate(tuples):
-                tight = 0
-                for on_complement, sources in per_sign:
-                    counts = _stabilized_counts(minus_counts, on_complement, here, below)
-                    if counts is not None:
-                        tight += 1
-                        key = rank.get(counts, counts)  # the target's index; counts no class has key as they are
-                        source = sources.setdefault(key, i)
-                        if source != i:  # a second source: the arm through counts branches
-                            sources[key] = [source, i] if type(source) is int else source + [i]
-                if tight == 2:
-                    twice.append(i)
-                elif tight == 0:
-                    loose.append(i)
-        preds.append(by_sign)  # shared by the levels that reuse it, which only read it
-        for i in twice:
-            problems.append(f"{classes[k][i].class_id}: two tight stabilizations")
-        for i in loose:
-            bases.append((k, i))
+    for k, (below, here) in enumerate(zip(sizes, sizes[1:4]), start=1):
+        twice, loose, by_sign, targets = [], [], {sign: {} for sign, _ in signs}, own[below]
+        per_sign = [(on_complement, by_sign[sign]) for sign, on_complement in signs]
+        for i, minus_counts in enumerate(own[here]):
+            tight = 0
+            for on_complement, sources in per_sign:
+                counts = _stabilized_counts(minus_counts, on_complement, here, below)
+                if counts is not None:
+                    tight += 1
+                    key = targets.get(counts, counts)  # the target's index; counts no class has key as they are
+                    source = sources.setdefault(key, i)
+                    if source != i:  # a second source: the arm through counts branches
+                        sources[key] = [source, i] if type(source) is int else source + [i]
+            if tight == 2:
+                twice.append(i)
+            elif tight == 0:
+                loose.append(i)
+        preds.append(by_sign)
+        for level in range(k, len(classes) if k == 3 else k + 1):  # level 3's problems and bases recur on each level above
+            problems += [f"{classes[level][i].class_id}: two tight stabilizations" for i in twice]
+            bases += [(level, i) for i in loose]
     return preds, bases
 
 
@@ -488,7 +487,7 @@ def _arm_ranges(classes: tuple, rots: tuple, preds: list, bases: list, signs, k_
         for sign, arm in arms.items():
             source = i  # the base, then each member up the arm: indices on levels k, k + 1, ...
             for j in range(k, k_max):
-                source = preds[j][sign].get(source)
+                source = preds[j if j < 3 else 2][sign].get(source)
                 if source is None:
                     break
                 if type(source) is list:

@@ -144,6 +144,50 @@ def test_problem_lists_match_the_graph_oracle_on_unnested_hooks(monkeypatch):
     assert certified > 50 and kinds == set(PROBLEM_KINDS) - {"Euler class"}, (certified, kinds)
 
 
+def test_problem_lists_match_the_graph_oracle_on_unnested_hooks_at_depth(monkeypatch):
+    # as above at k_max 24: levels 4 to 24 take level 3's map and report
+    # its problems and bases as their own, as the oracle asks on each level
+    true_rule, certified, kinds = unknots._stabilized_counts, 0, set()
+    for seed in range(12):
+        monkeypatch.setattr(unknots, "_stabilized_counts", _hook(seed, (0.01, 0.1, 1.0)[seed % 3], true_rule))
+        for lens in (LensSpace(5, 2), LensSpace(13, 5), LensSpace(29, 12)):
+            for knot in KNOTS:
+                ranges, problems = _assert_same(lens, knot, 24)
+                certified += ranges is not None
+                kinds.update(next(k for k in PROBLEM_KINDS if k in problem) for problem in problems or ())
+    assert certified > 30 and kinds == set(PROBLEM_KINDS) - {"Euler class"}, (certified, kinds)
+
+
+def test_the_graph_asks_the_rule_on_levels_one_to_three_only(monkeypatch):
+    # every level from 3 up has level 3's sizes here and below, so classify
+    # evaluates the maps of levels 1 to 3 alone, both signs of each class
+    # there, at any k_max, and returns those three maps
+    true_rule, true_graph, calls, maps = unknots._stabilized_counts, unknots._stabilization_graph, 0, []
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return true_rule(*args)
+
+    def graph(*args):
+        preds, bases = true_graph(*args)
+        maps.append(len(preds))
+        return preds, bases
+
+    wanted = {}
+    for lens in _lenses(30):
+        for knot in KNOTS:
+            wanted[lens, knot] = 2 * sum(len(classes_at_slope(lens, knot, k)) for k in (1, 2, 3))
+    monkeypatch.setattr(unknots, "_stabilized_counts", counted)
+    monkeypatch.setattr(unknots, "_stabilization_graph", graph)
+    for (lens, knot), want in wanted.items():
+        for k_max in (3, 4, 9):
+            calls = 0
+            classify(lens, knot, k_max)
+            assert (calls, maps.pop()) == (want, min(k_max, 3)), (str(lens), str(knot), k_max)
+    assert len(wanted) == 4 * 278
+
+
 def test_each_repeated_stabilization_map_is_evaluated_once(monkeypatch):
     # levels 4 to 800 of L(5,2), K0 have level 3's sizes here and below, so
     # classify asks the rule for both signs of the classes on levels 1 to 3

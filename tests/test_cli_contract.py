@@ -7,6 +7,7 @@ argv gives the same bytes twice.  The corpus digest pins the bytes of one
 fixed run of every leaf subcommand.
 """
 
+import gc
 import hashlib
 import io
 import json
@@ -281,6 +282,26 @@ def test_cache_replace_failure_removes_the_temp_file(tmp_path, monkeypatch):
     assert (code, out) == (1, "") and err.count("\n") == 1
     assert err == f"error: cannot use cache dir {tmp_path}: {os.strerror(5)}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_runs_leave_no_reference_cycles(tmp_path):
+    # refcounting alone frees what a run leaves, so a paused cyclic collector
+    # would hold nothing back: after a warm-up run builds the parser, no run
+    # of the corpus, of the cache in each format, or of an error leaves a
+    # cycle.  Help is left out: argparse's help formatter leaves some
+    cached = ["classify", "7", "3", "--knot", "-K1", "--kmax", "4", "--cache-dir"]
+    runs = CORPUS + [["bogus"], ["classify", "5", "2", "--kmax", "2"]]
+    runs += [cached + [str(tmp_path / fmt), "--format", fmt] for fmt in FORMATS for _ in ("cold", "warm")]
+    invoke(["classify", "5", "2"])
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in runs:
+            invoke(argv)
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+    assert len(runs) == 58 and len(list(tmp_path.glob("*/*.json"))) == len(FORMATS)
 
 
 @pytest.fixture(scope="module")

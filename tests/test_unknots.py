@@ -1033,6 +1033,24 @@ def test_classify_is_certified_for_every_k_max():
     assert calls == 9 * 4 * 278
 
 
+def test_each_arm_repeats_one_class_from_level_three():
+    # classify's docstring: a tight stabilization from level 3 up keeps the
+    # minus counts, so the members of an arm on levels 3 to k_max, read
+    # through classify alone, share one complement class
+    arms = 0
+    for p in range(1, 31):
+        for q in range(1, max(p, 2)):
+            if gcd(p, q) == 1:
+                lens = LensSpace(p, q)
+                for knot in (K0, KnotId("K0", False), K1, KnotId("K1", False)):
+                    for mr in classify(lens, knot, 6):
+                        for arm in {m.arm for m in mr.members[1:]}:
+                            counts = {m.cls.complement.minus_counts for m in mr.members if m.arm == arm and m.cls.k >= 3}
+                            assert len(counts) == 1, (str(lens), str(knot), str(mr.kind), mr.base, arm)
+                            arms += 1
+    assert arms > 20_000
+
+
 def _record_fields(record):
     return tuple(getattr(record, f.name) for f in fields(record))
 

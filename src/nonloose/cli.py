@@ -107,10 +107,11 @@ def _build_parser() -> _Parser:
     # command to its parser, and help omits the docstring's last paragraph
     top = _Parser(prog="nonloose", description=__doc__ and __doc__.rpartition("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
+    pq = _Parser(add_help=False)  # six leaves' leading p q; each leaf adds its own -h
+    pq.add_argument("p", type=int)
+    pq.add_argument("q", type=int)
 
-    cl = sub.add_parser("classify", help="mountain ranges of a rational unknot")
-    cl.add_argument("p", type=int)
-    cl.add_argument("q", type=int)
+    cl = sub.add_parser("classify", parents=[pq], help="mountain ranges of a rational unknot")
     cl.add_argument("--knot", default="K0", choices=KNOTS)
     cl.add_argument("--kmax", type=int, default=5)
     cl.add_argument("--format", default=None, choices=FORMATS)
@@ -119,9 +120,7 @@ def _build_parser() -> _Parser:
 
     tc = sub.add_parser("tight-count", help="count tight contact structures")
     tsub = tc.add_subparsers(dest="space", required=True)
-    t_lens = tsub.add_parser("lens")
-    t_lens.add_argument("p", type=int)
-    t_lens.add_argument("q", type=int)
+    t_lens = tsub.add_parser("lens", parents=[pq])
     t_lens.set_defaults(run=_line(lambda a: count_tight(LensSpace(a.p, a.q))))
     t_torus = tsub.add_parser("torus")
     t_torus.add_argument("s0")
@@ -157,27 +156,19 @@ def _build_parser() -> _Parser:
 
     ca = sub.add_parser("cable", help="cable invariant calculators")
     csub = ca.add_subparsers(dest="op", required=True)
-    c_tb = csub.add_parser("tb")
-    c_tb.add_argument("p", type=int)
-    c_tb.add_argument("q", type=int)
+    c_tb = csub.add_parser("tb", parents=[pq])
     c_tb.add_argument("--dividing", default=None, help="dividing slope q'/p'")
     c_tb.set_defaults(run=_line(_cable_tb))
-    c_rot = csub.add_parser("rot")
-    c_rot.add_argument("p", type=int)
-    c_rot.add_argument("q", type=int)
+    c_rot = csub.add_parser("rot", parents=[pq])
     c_rot.add_argument("r_disk", type=int)
     c_rot.add_argument("r_seifert", type=int)
     c_rot.set_defaults(run=_line(lambda a: cable_rot(CableSpec(a.p, a.q), a.r_disk, a.r_seifert)))
-    c_pos = csub.add_parser("positive")
-    c_pos.add_argument("p", type=int)
-    c_pos.add_argument("q", type=int)
+    c_pos = csub.add_parser("positive", parents=[pq])
     c_pos.add_argument("tb", type=int)
     c_pos.add_argument("rot", type=int)
     c_pos.add_argument("--format", default=None, choices=["table", "json"])
     c_pos.set_defaults(run=_fields(_positive_cable))
-    c_neg = csub.add_parser("negative")
-    c_neg.add_argument("p", type=int)
-    c_neg.add_argument("q", type=int)
+    c_neg = csub.add_parser("negative", parents=[pq])
     c_neg.add_argument("tb", type=int)
     c_neg.set_defaults(
         run=_fields(lambda a: {"tb": negative_cable_tb(LegendrianInvariants(a.tb, 0), CableSpec(a.p, a.q))})

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice, product
-from typing import Collection, Optional, Union
+from typing import Optional, Union
 
 from .cfrac import FareyPath, _block_lengths, _minimal_blocks, _minimal_vertices, _trusted_path
 from .farey import (
@@ -179,10 +179,14 @@ def _context_data(c: Context) -> tuple[tuple[Slope, ...], tuple[int, ...]]:
 
 def _context_sizes(c: Context) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # edges and signed edges per continued fraction block of the context's
-    # minimal path, read from the block walk with no vertex built
+    # minimal path, read from the block walk with no vertex built; unsigned
+    # edges are terminal: edge 0 leaves the first block, any other the last
     r, s, first, last = _context_ends(c)
-    lengths = tuple(k for *_, k in _minimal_blocks(r, s))
-    return lengths, _less_unsigned(lengths, _unsigned_edges(first, last, sum(lengths)))
+    sizes = [k for *_, k in _minimal_blocks(r, s)]
+    lengths = tuple(sizes)
+    for i in _unsigned_edges(first, last, sum(lengths)):
+        sizes[-1 if i else 0] -= 1
+    return lengths, tuple(sizes)
 
 
 def _unsigned_edges(first: bool, last: bool, edges: int) -> tuple[int, ...]:
@@ -191,17 +195,6 @@ def _unsigned_edges(first: bool, last: bool, edges: int) -> tuple[int, ...]:
     if last:
         unsigned.add(edges - 1)
     return tuple(sorted(unsigned))
-
-
-def _less_unsigned(lengths: Collection[int], unsigned: Collection[int]) -> tuple[int, ...]:
-    # signed edges per block; unsigned edges are terminal, so an unsigned
-    # edge 0 leaves the first block, any other the last
-    sizes = list(lengths)
-    if 0 in unsigned:
-        sizes[0] -= 1
-    if max(unsigned, default=0) > 0:
-        sizes[-1] -= 1
-    return tuple(sizes)
 
 
 def _minus_counts(d: DecoratedPath) -> tuple[int, ...]:

@@ -447,7 +447,7 @@ def _levels(lens: LensSpace, knot: KnotId, k_max: int) -> tuple:
 
 
 def _stabilization_graph(own: dict, classes: tuple, sizes: tuple, signs, problems: list[str]) -> tuple:
-    # preds[k][sign][index of a level k class]: index of the level k + 1 class stabilizing there, a list if several;
+    # preds[k][sign][index of a level k class]: index of the level k + 1 class stabilizing there, -1 if several;
     # levels 1 to 3 only, as sizes repeat from level 2 (_level_below): every (here, below) pair from level 3 up is level 3's
     preds: list[dict[Sign, dict]] = []
     bases = [(0, i) for i in range(len(classes[0]))]
@@ -461,9 +461,8 @@ def _stabilization_graph(own: dict, classes: tuple, sizes: tuple, signs, problem
                 if counts is not None:
                     tight += 1
                     key = targets.get(counts, counts)  # the target's index; counts no class has key as they are
-                    source = sources.setdefault(key, i)
-                    if source != i:  # a second source: the arm through counts branches
-                        sources[key] = [source, i] if type(source) is int else source + [i]
+                    if sources.setdefault(key, i) != i:  # a second source: the arm through counts branches
+                        sources[key] = -1
             if tight == 2:
                 twice.append(i)
             elif tight == 0:
@@ -490,7 +489,7 @@ def _arm_ranges(classes: tuple, rots: tuple, preds: list, bases: list, signs, k_
                 source = preds[j if j < 3 else 2][sign].get(source)
                 if source is None:
                     break
-                if type(source) is list:
+                if source < 0:
                     problems.append(f"{base.class_id}: branching {sign!s} arm")
                     break
                 arm.append(source)

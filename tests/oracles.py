@@ -33,8 +33,10 @@ keyed by (minus counts, sign) tuples with a list of sources each, and a
 set of claimed (level, index) pairs, where the package now uses record
 builders, per-sign dicts of plain indices and one claim mark per class.
 `_signed_sizes` keeps the package's earlier block reader for the paths it
-builds, a rescan of the path's vertex triples, where the package now
-takes each context's blocks from the block walk.  `check_against_context_by_types`
+builds, a rescan of the path's vertex triples, and counts each block's
+unsigned edges by position, where the package now takes each context's
+blocks from the block walk and takes its terminal unsigned edges off the
+end blocks by the context's rule.  `check_against_context_by_types`
 keeps the package's earlier context check, one isinstance branch per
 context with its endpoints and unsigned edges stated again, where the
 package now reads both from the context's one rule.
@@ -63,7 +65,6 @@ from nonloose.decorated import (
     Sign,
     ThickenedTorus,
     UpperSolidTorus,
-    _less_unsigned,
     _shuffle_counts,
 )
 from nonloose.farey import (
@@ -896,9 +897,11 @@ def shuffle_euler_on_disk(sc: ShuffleClass, meridian: Slope) -> int:
 
 
 def _signed_sizes(vertices: tuple[Slope, ...], unsigned: Collection[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # edges and signed edges per continued fraction block
-    lengths = _block_lengths(vertices)
-    return tuple(lengths), _less_unsigned(lengths, unsigned)
+    # edges and signed edges per continued fraction block, each block less
+    # the unsigned edges it holds; an edge listed twice is one edge
+    lengths, unsigned = tuple(_block_lengths(vertices)), set(unsigned)
+    starts = accumulate(lengths, initial=0)
+    return lengths, tuple(n - sum(a <= u < a + n for u in unsigned) for a, n in zip(starts, lengths))
 
 
 def check_against_context_by_types(d, c) -> None:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -434,6 +435,50 @@ def test_help_goes_to_the_stdout_argument(monkeypatch):
         digest = pinned.get(" ".join(argv))
         if digest and sys.version_info[:2] == (3, 11):
             assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
+
+
+# every parser's words, each leaf with its usage line less its optional
+# groups: the top parser, its four command groups and the 16 leaves
+PARSERS = {
+    (): None,
+    ("classify",): "p q",
+    ("tight-count",): None,
+    ("tight-count", "lens"): "p q",
+    ("tight-count", "torus"): "s0 s1",
+    ("tight-count", "solid"): "{upper,lower} meridian boundary",
+    ("farey",): None,
+    ("farey", "sum"): "x y",
+    ("farey", "dot"): "x y",
+    ("farey", "edge"): "x y",
+    ("farey", "path"): "start end",
+    ("farey", "cf"): "slope",
+    ("path",): None,
+    ("path", "check"): "--context {torus,upper,lower} --signs SIGNS",
+    ("cable",): None,
+    ("cable", "tb"): "p q",
+    ("cable", "rot"): "p q r_disk r_seifert",
+    ("cable", "positive"): "p q tb rot",
+    ("cable", "negative"): "p q tb",
+    ("cable", "family"): "n",
+    ("exists",): "--flavor {legendrian,transverse}",
+}
+
+
+def test_help_and_usage_errors_of_every_parser(monkeypatch):
+    # each parser's -h and its bare usage error, hashed together; recorded
+    # with Python 3.11, as argparse layout varies across versions
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for words, tail in PARSERS.items():
+        for argv in (list(words) + ["-h"], list(words)):
+            digest.update(repr((argv, *invoke(argv))).encode())
+        code, out, _ = invoke(list(words) + ["-h"])
+        usage = out.partition("\n\n")[0]
+        assert code == 0 and usage.startswith(" ".join(("usage: nonloose",) + words) + " [-h]"), words
+        if tail is not None:  # a leaf: its positionals in order, after any options
+            assert " ".join(re.sub(r"\[[^]]*\]", "", usage).split()[2 + len(words) :]) == tail, usage
+    if sys.version_info[:2] == (3, 11):
+        assert digest.hexdigest() == "0f8156d7363d23e2cb7fee6d44f9b8f956ce8d82261416e1e4fc7dcbb136a457"
 
 
 def test_path_check_rejects_a_sign_on_the_last_vertex():

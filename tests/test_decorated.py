@@ -452,6 +452,26 @@ def test_shortening_moves_and_blocks_match_oracles():
     assert count_tight(Lens(1, 1)) == 1
 
 
+def test_context_sizes_match_the_oracle_on_every_context_kind():
+    from math import gcd
+
+    from nonloose.decorated import _context_data, _context_sizes
+    from oracles import _signed_sizes, bounded_slopes
+
+    # the package takes the context's unsigned edges off its end blocks by
+    # the context's rule; the oracle counts each block's unsigned edges by
+    # position on the built path. Every kind, with one edge included
+    pool = bounded_slopes(12)
+    contexts = [kind(r, s) for r in pool for s in pool if r != s for kind in (ThickenedTorus, LowerSolidTorus, UpperSolidTorus)]
+    contexts += [Lens(p, q) for p in range(2, 41) for q in range(1, p) if gcd(p, q) == 1] + [Lens(1, 1)]
+    one_edge = 0
+    for c in contexts:
+        data = _context_data(c)
+        assert _context_sizes(c) == _signed_sizes(*data), c
+        one_edge += len(data[0]) == 2
+    assert (len(contexts), one_edge) == (101_506, 2_191)  # 730 of each torus kind, and L(1,1)
+
+
 def _decoration(verts, blocks, counts, unsigned, rng):
     # one decoration of a shuffle class: in each block, minus signs on a
     # random choice of that many signed edges and plus signs on the rest
